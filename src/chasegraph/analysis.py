@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .chase import Derivation, DerivationStep, apply_rule, enumerate_derivations, triggers
 from .errors import NotPermutableError
-from .homs import find_homomorphisms, isomorphic_mod_nulls
+from .homs import canonical_key, find_homomorphisms
 from .model import (
     Constant,
     Instance,
@@ -314,8 +314,31 @@ def normalize_by_grd(d: Derivation, grd: RuleDependencyGraph) -> Derivation:
 
 
 # ---------------------------------------------------------------------------
-# Greedy re-derivation search
+# Derivations grouped by final instance, and greedy re-derivation
 # ---------------------------------------------------------------------------
+
+def group_derivations(
+    kb: KnowledgeBase, max_len: int, dedup: str = "mod-nulls", shortest_only: bool = False
+) -> dict[tuple, tuple[Instance, list[Derivation]]]:
+    """Derivations up to max_len by the canonical key of their final instance:
+    key -> (first final instance seen, members in enumeration order).  With
+    shortest_only, a group keeps only its members of the least length seen."""
+    groups: dict[tuple, tuple[Instance, list[Derivation]]] = {}
+    for d in enumerate_derivations(kb.database, kb.rules, max_len, dedup=dedup):
+        _, members = groups.setdefault(canonical_key(d.final), (d.final, []))
+        if shortest_only and members and len(d) < len(members[0]):
+            members.clear()
+        if not shortest_only or not members or len(d) == len(members[0]):
+            members.append(d)
+    return groups
+
+
+def first_good(group: list[Derivation], max_len: int, check):
+    """(d, check(d)) for the first d of length <= max_len with a truthy check,
+    in (length, enumeration) order, which iterative deepening also follows."""
+    return next(((d, r) for d in sorted(group, key=len) if len(d) <= max_len and (r := check(d))),
+                None)
+
 
 def find_greedy_rederivation(
     kb: KnowledgeBase,
@@ -323,17 +346,13 @@ def find_greedy_rederivation(
     max_len: int,
     dedup: str = "mod-nulls",
 ) -> Derivation | None:
-    """Shortest greedy derivation of ``target`` (up to null renaming), if any.
-
-    Iterative deepening over the exhaustive enumeration; the first greedy
-    derivation whose final instance is isomorphic to the target wins.
+    """Shortest greedy derivation of ``target`` (up to null renaming), if any:
+    the first in (length, enumeration) order of one enumeration to max_len.
+    With no early exit, ResourceLimitError comes whenever the enumeration, or
+    the canonical key of a final instance as large as the target, trips its budget.
     """
-    for length in range(max_len + 1):
-        for cand in enumerate_derivations(kb.database, kb.rules, length, dedup=dedup):
-            if len(cand) != length:
-                continue
-            if not is_greedy(cand, kb).greedy:
-                continue
-            if isomorphic_mod_nulls(cand.final, target) is not None:
-                return cand
-    return None
+    key = canonical_key(target)
+    group = [d for d in enumerate_derivations(kb.database, kb.rules, max_len, dedup=dedup)
+             if len(d.final) == len(target) and canonical_key(d.final) == key]
+    found = first_good(group, max_len, lambda d: is_greedy(d, kb).greedy)
+    return found[0] if found else None

@@ -8,18 +8,21 @@ exhaustion is reported as unknown, never as a verdict.
 The universal classes quantify over all derivations (greediness for the
 greedy bounded-treewidth class, graph reducibility for the cycle-free
 derivation-graph class).  The weak variants quantify over derivable
-instances up to null renaming and ask for one good derivation each.
+instances and ask for one good derivation each: one enumeration groups them
+by isomorphism up to null renaming (not homomorphic equivalence, an open
+choice) under the ``homs.MAX_CANON_NODES`` budget, which yields unknown when
+it trips.  A witness is a group's first good derivation in (length, DFS) order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import GreedinessReport, find_greedy_rederivation, is_greedy
+from .analysis import GreedinessReport, first_good, group_derivations, is_greedy
 from .chase import Derivation, chase_k, enumerate_derivations
 from .derivgraph import build_derivation_graph
 from .errors import ResourceLimitError
-from .homs import hom_exists, isomorphic_mod_nulls
+from .homs import hom_exists
 from .model import BooleanQuery, Instance, KnowledgeBase
 from .reduction import ReductionTrace, reduce_graph
 
@@ -59,60 +62,6 @@ class ClassificationVerdict:
     @property
     def holds(self) -> bool:
         return self.result == HOLDS
-
-
-@dataclass
-class _Group:
-    target: Instance
-    shortest_len: int
-    shortest: Derivation
-
-
-def _bucket_key(inst: Instance) -> tuple:
-    """Cheap renaming-invariant key; candidates in one bucket still get a
-    full isomorphism check."""
-    from .model import Null
-
-    shape = []
-    for a in inst.sorted_atoms():
-        shape.append((a.pred, tuple("?" if isinstance(t, Null) else t.name for t in a.args)))
-    return (tuple(sorted(shape)), len(inst.nulls()))
-
-
-def _group_instances(kb: KnowledgeBase, depth: int, dedup: str) -> list[_Group]:
-    buckets: dict[tuple, list[_Group]] = {}
-    ordered: list[_Group] = []
-    for d in enumerate_derivations(kb.database, kb.rules, depth, dedup=dedup):
-        inst = d.final
-        key = _bucket_key(inst)
-        group = None
-        for g in buckets.get(key, []):
-            if isomorphic_mod_nulls(inst, g.target) is not None:
-                group = g
-                break
-        if group is None:
-            group = _Group(inst, len(d), d)
-            buckets.setdefault(key, []).append(group)
-            ordered.append(group)
-        elif len(d) < group.shortest_len:
-            group.shortest_len = len(d)
-            group.shortest = d
-    return ordered
-
-
-def _find_reducible_rederivation(
-    kb: KnowledgeBase, target: Instance, max_len: int, dedup: str
-) -> tuple[Derivation, ReductionTrace] | None:
-    for length in range(max_len + 1):
-        for cand in enumerate_derivations(kb.database, kb.rules, length, dedup=dedup):
-            if len(cand) != length:
-                continue
-            if isomorphic_mod_nulls(cand.final, target) is None:
-                continue
-            trace = reduce_graph(build_derivation_graph(cand, kb), "full")
-            if trace is not None:
-                return cand, trace
-    return None
 
 
 def classify(
@@ -156,29 +105,23 @@ def classify(
                     return ClassificationVerdict(cls, depth, REFUTED, cert)
             return ClassificationVerdict(cls, depth, HOLDS)
 
-        groups = _group_instances(kb, depth, dedup)
+        check = ((lambda d: is_greedy(d, kb).greedy) if cls == "wgbts"
+                 else lambda d: reduce_graph(build_derivation_graph(d, kb), "full"))
+
         witnesses: list[GroupWitness] = []
-        for grp in groups:
-            bound = grp.shortest_len if rederivation_bound == "shortest" else depth
-            if cls == "wgbts":
-                w = find_greedy_rederivation(kb, grp.target, bound, dedup=dedup)
-                if w is None:
-                    cert = Refutation(
-                        grp.shortest, "instance admits no greedy derivation",
-                        target=grp.target,
-                    )
-                    return ClassificationVerdict(cls, depth, REFUTED, cert)
-                witnesses.append(GroupWitness(grp.target, grp.shortest_len, w))
-            else:  # wcdgs
-                found = _find_reducible_rederivation(kb, grp.target, bound, dedup)
-                if found is None:
-                    cert = Refutation(
-                        grp.shortest, "no derivation of the instance has a reducible graph",
-                        target=grp.target,
-                    )
-                    return ClassificationVerdict(cls, depth, REFUTED, cert)
-                w, trace = found
-                witnesses.append(GroupWitness(grp.target, grp.shortest_len, w, trace))
+        groups = group_derivations(kb, depth, dedup, rederivation_bound == "shortest")
+        for target, members in groups.values():
+            shortest = min(members, key=len)
+            bound = len(shortest) if rederivation_bound == "shortest" else depth
+            found = first_good(members, bound, check)
+            if found is None:
+                reason = ("instance admits no greedy derivation" if cls == "wgbts"
+                          else "no derivation of the instance has a reducible graph")
+                cert = Refutation(shortest, reason, target=target)
+                return ClassificationVerdict(cls, depth, REFUTED, cert)
+            w, result = found
+            witnesses.append(GroupWitness(target, len(shortest), w,
+                                          result if cls == "wcdgs" else None))
         return ClassificationVerdict(cls, depth, HOLDS, tuple(witnesses))
     except ResourceLimitError as exc:
         return ClassificationVerdict(cls, depth, UNKNOWN, detail=str(exc))

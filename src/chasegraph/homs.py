@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ResourceLimitError
 from .model import (
     Atom,
     Constant,
@@ -23,7 +24,10 @@ from .model import (
     Term,
     atom_key,
     nulls_of,
+    term_key,
 )
+
+MAX_CANON_NODES = 10_000  # search nodes per canonical_key call, read at call time
 
 
 @dataclass(frozen=True)
@@ -175,3 +179,92 @@ def isomorphic_mod_nulls(a: Instance, b: Instance) -> Substitution | None:
 
     found = solve(0, {}, set())
     return Substitution(found) if found is not None else None
+
+
+def canonical_key(inst: Instance) -> tuple:
+    """A key equal for two instances iff a bijective null renaming maps one
+    onto the other: (sorted ground atoms, sorted null-connected component forms).
+
+    A component's form is its least labelled sorted atom tuple under
+    individualisation and refinement (McKay and Piperno, "Practical graph
+    isomorphism II", 2014); a null's colour is refined by the predicates,
+    positions and co-argument colours or constants of its atoms.  A member v of a split cell is skipped when the
+    map from the singleton cells after individualising a tried member onto
+    those after individualising v is a colour-keeping automorphism.  Only
+    sorted data is iterated, so the key is hash-seed independent.  Over
+    ``MAX_CANON_NODES`` search nodes in all raises ResourceLimitError.
+    """
+    budget, nodes = MAX_CANON_NODES, 0
+    ground, components = [], []
+    for a in inst.sorted_atoms():
+        ns = {t for t in a.args if isinstance(t, Null)}
+        if not ns:
+            ground.append(atom_key(a))
+            continue
+        hit = [c for c in components if c[0] & ns]
+        components = [c for c in components if not c[0] & ns]
+        components.append((ns.union(*(c[0] for c in hit)), [a] + [x for c in hit for x in c[1]]))
+
+    def form(null_set: set[Null], comp: list[Atom]) -> tuple:
+        nonlocal nodes
+        nulls = sorted(null_set, key=term_key)
+        occurrences = {n: [(i, a) for a in comp for i, t in enumerate(a.args) if t == n]
+                       for n in nulls}
+
+        def labelled(a: Atom, colour: dict[Null, int]) -> tuple:
+            return (a.pred, len(a.args), tuple(
+                (2, colour[t]) if isinstance(t, Null) else term_key(t) for t in a.args))
+
+        def refine(colour: dict[Null, int]) -> dict[Null, int]:
+            while True:
+                sig = {n: (colour[n], tuple(sorted((i, labelled(a, colour))
+                                                   for i, a in occurrences[n])))
+                       for n in nulls}
+                rank = {s: r for r, s in enumerate(sorted(set(sig.values())))}
+                new = {n: rank[sig[n]] for n in nulls}
+                if len(rank) == len(set(colour.values())):
+                    return new
+                colour = new
+
+        def cells(colour: dict[Null, int]) -> dict[int, list[Null]]:
+            out: dict[int, list[Null]] = {}
+            for n in nulls:
+                out.setdefault(colour[n], []).append(n)
+            return out
+
+        def symmetric(colour: dict[Null, int], u: Null, cu: dict, v: Null, cv: dict) -> bool:
+            su, sv = ({c: ms[0] for c, ms in cells(x).items() if len(ms) == 1} for x in (cu, cv))
+            perm = {su[c]: sv[c] for c in su if c in sv}
+            back = {m: n for n, m in perm.items()}
+            for n in [n for n in nulls if n not in perm]:  # close chains by walking back
+                perm[n] = n
+                while perm[n] in back:
+                    perm[n] = back[perm[n]]
+            return (perm[u] == v and all(colour[perm[n]] == colour[n] for n in nulls)
+                    and all(Atom(a.pred, tuple(perm.get(t, t) for t in a.args)) in inst.atoms
+                            for a in comp))
+
+        best = None
+        stack = [refine({n: 0 for n in nulls})]
+        while stack:
+            nodes += 1
+            if nodes > budget:
+                raise ResourceLimitError(
+                    f"canonical form of an instance with {len(inst.nulls())} nulls exceeded "
+                    f"the canonical-form budget MAX_CANON_NODES of {budget} search nodes")
+            colour = stack.pop()
+            split = min((ms for ms in cells(colour).values() if len(ms) > 1),
+                        key=lambda ms: colour[ms[0]], default=None)
+            if split is None:
+                leaf = tuple(sorted(labelled(a, colour) for a in comp))
+                best = leaf if best is None else min(best, leaf)
+                continue
+            tried: list[tuple[Null, dict]] = []
+            for v in split:
+                cv = refine({n: 2 * c + (n != v) for n, c in colour.items()})
+                if not any(symmetric(colour, u, cu, v, cv) for u, cu in tried):
+                    tried.append((v, cv))
+                    stack.append(cv)
+        return best
+
+    return tuple(ground), tuple(sorted(form(*c) for c in components))

@@ -5,22 +5,42 @@ non-constant terms; the dependence oracle enumerates every instance over
 the two rules' body predicates on a small constant universe (up to
 renaming of the fresh constants) and checks the new-trigger condition on
 each.  Both are only usable at desk scale.
+
+The weak-class oracle is the classifier's earlier engine for wgbts and
+wcdgs: instances are bucketed by a cheap shape key and grouped by pairwise
+``isomorphic_mod_nulls``, and each group's good derivation is searched by
+iterative deepening, one fresh enumeration per length.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from chasegraph.analysis import _rename_apart, _witnesses_dependence
+from chasegraph.analysis import _rename_apart, _witnesses_dependence, is_greedy
+from chasegraph.chase import enumerate_derivations
+from chasegraph.classify import (
+    HOLDS,
+    REFUTED,
+    UNKNOWN,
+    ClassificationVerdict,
+    GroupWitness,
+    Refutation,
+)
+from chasegraph.derivgraph import build_derivation_graph
+from chasegraph.errors import ResourceLimitError
+from chasegraph.homs import isomorphic_mod_nulls
 from chasegraph.model import (
     Atom,
     Constant,
     Instance,
+    KnowledgeBase,
+    Null,
     Rule,
     Substitution,
     term_key,
     variables_of,
 )
+from chasegraph.reduction import reduce_graph
 
 
 def brute_force_homomorphisms(source, target: Instance) -> list[Substitution]:
@@ -89,3 +109,81 @@ def brute_force_depends_on(r2: Rule, r1: Rule, max_fresh: int = 3) -> bool:
             if _witnesses_dependence(instance, r1, r2):
                 return True
     return False
+
+
+def _bucket_key(inst: Instance) -> tuple:
+    """Cheap renaming-invariant key; candidates in one bucket still get a
+    full isomorphism check."""
+    shape = []
+    for a in inst.sorted_atoms():
+        shape.append((a.pred, tuple("?" if isinstance(t, Null) else t.name for t in a.args)))
+    return (tuple(sorted(shape)), len(inst.nulls()))
+
+
+def _group_instances(kb: KnowledgeBase, depth: int, dedup: str) -> list[list]:
+    """[target, shortest length, first shortest derivation] per instance
+    class, in first-seen order."""
+    buckets: dict[tuple, list[list]] = {}
+    ordered: list[list] = []
+    for d in enumerate_derivations(kb.database, kb.rules, depth, dedup=dedup):
+        inst = d.final
+        key = _bucket_key(inst)
+        group = None
+        for g in buckets.get(key, []):
+            if isomorphic_mod_nulls(inst, g[0]) is not None:
+                group = g
+                break
+        if group is None:
+            group = [inst, len(d), d]
+            buckets.setdefault(key, []).append(group)
+            ordered.append(group)
+        elif len(d) < group[1]:
+            group[1], group[2] = len(d), d
+    return ordered
+
+
+def _find_rederivation(kb: KnowledgeBase, target: Instance, max_len: int, dedup: str, check):
+    """Iterative deepening: the first derivation of the target, by length
+    and then enumeration order, whose check is truthy, with that result."""
+    for length in range(max_len + 1):
+        for cand in enumerate_derivations(kb.database, kb.rules, length, dedup=dedup):
+            if len(cand) != length:
+                continue
+            if isomorphic_mod_nulls(cand.final, target) is None:
+                continue
+            result = check(cand)
+            if result:
+                return cand, result
+    return None
+
+
+def weak_classify_oracle(
+    kb: KnowledgeBase,
+    cls: str,
+    depth: int,
+    dedup: str = "mod-nulls",
+    rederivation_bound: str = "shortest",
+) -> ClassificationVerdict:
+    """The wgbts/wcdgs verdict, computed the slow way."""
+    if cls == "wgbts":
+        def check(d):
+            return is_greedy(d, kb).greedy
+        reason = "instance admits no greedy derivation"
+    else:
+        def check(d):
+            return reduce_graph(build_derivation_graph(d, kb), "full")
+        reason = "no derivation of the instance has a reducible graph"
+    try:
+        witnesses = []
+        for target, shortest_len, shortest in _group_instances(kb, depth, dedup):
+            bound = shortest_len if rederivation_bound == "shortest" else depth
+            found = _find_rederivation(kb, target, bound, dedup, check)
+            if found is None:
+                cert = Refutation(shortest, reason, target=target)
+                return ClassificationVerdict(cls, depth, REFUTED, cert)
+            w, result = found
+            trace = result if cls == "wcdgs" else None
+            witnesses.append(GroupWitness(target, shortest_len, w, trace))
+        return ClassificationVerdict(cls, depth, HOLDS, tuple(witnesses))
+    except ResourceLimitError as exc:
+        return ClassificationVerdict(cls, depth, UNKNOWN, detail=str(exc))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from chasegraph import homs
 from chasegraph.analysis import (
     depends_on,
     find_greedy_rederivation,
@@ -11,7 +12,7 @@ from chasegraph.analysis import (
     rule_dependency_graph,
 )
 from chasegraph.chase import Derivation, enumerate_derivations
-from chasegraph.errors import NotPermutableError
+from chasegraph.errors import NotPermutableError, ResourceLimitError
 from chasegraph.homs import isomorphic_mod_nulls
 from chasegraph.model import (
     Atom,
@@ -320,3 +321,13 @@ def test_all_greedy_implies_rederivable(chain_kb):
     for d in seen:
         witness = find_greedy_rederivation(chain_kb, d.final, len(d))
         assert witness is not None
+
+
+def test_rederive_reports_canonical_form_budget(join_kb, monkeypatch):
+    # the target's key alone needs two search nodes (two q-components)
+    target = next(d.final for d in enumerate_derivations(join_kb.database, join_kb.rules, 2)
+                  if len(d) == 2 and not any(a.pred == "s" for a in d.final))
+    assert find_greedy_rederivation(join_kb, target, 2) is not None
+    monkeypatch.setattr(homs, "MAX_CANON_NODES", 1)
+    with pytest.raises(ResourceLimitError, match="MAX_CANON_NODES of 1 "):
+        find_greedy_rederivation(join_kb, target, 2)

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from chasegraph import homs
 from chasegraph.analysis import is_greedy
+from chasegraph.chase import derivation_key, enumerate_derivations
 from chasegraph.classify import (
     HOLDS,
     REFUTED,
@@ -13,12 +19,17 @@ from chasegraph.classify import (
     subsumption_check,
 )
 from chasegraph.derivgraph import build_derivation_graph
+from chasegraph.docparse import parse_document
+from chasegraph.errors import ResourceLimitError
 from chasegraph.homs import isomorphic_mod_nulls
 from chasegraph.model import Atom, BooleanQuery, Instance, KnowledgeBase
 from chasegraph.randkb import random_kb
 from chasegraph.reduction import reduce_graph
 
 from conftest import A, X, Y, Z
+from oracles import weak_classify_oracle
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def test_gbts_refuted_with_reverifiable_certificate(join_kb):
@@ -147,3 +158,110 @@ def test_entailment_of_database_atom_at_depth_zero(join_kb):
     q = BooleanQuery(frozenset({Atom("p", (X,))}))
     res = entails(join_kb, q, 0)
     assert res.entailed and res.at_depth == 0
+
+
+# ---------------------------------------------------------------------------
+# the one-pass weak classes against the iterative-deepening oracle
+# ---------------------------------------------------------------------------
+
+def _sample_kb(name: str) -> KnowledgeBase:
+    return parse_document((SAMPLES / f"{name}.rules").read_text()).knowledge_base()
+
+
+def _assert_matches_oracle(new, old):
+    assert new.result == old.result
+    if isinstance(old.certificate, Refutation):
+        assert new.certificate.reason == old.certificate.reason
+        assert derivation_key(new.certificate.derivation) == derivation_key(
+            old.certificate.derivation)
+        assert isomorphic_mod_nulls(new.certificate.target, old.certificate.target) is not None
+    elif old.certificate is None:
+        assert new.certificate is None
+    else:
+        assert len(new.certificate) == len(old.certificate)
+        for w_new, w_old in zip(new.certificate, old.certificate):
+            assert w_new.shortest_len == w_old.shortest_len
+            assert derivation_key(w_new.witness) == derivation_key(w_old.witness)
+            assert isomorphic_mod_nulls(w_new.target, w_old.target) is not None
+            if w_old.trace is not None:
+                assert [type(x) for x in w_new.trace.steps] == [
+                    type(x) for x in w_old.trace.steps]
+
+
+@pytest.mark.parametrize("bound", ["shortest", "depth"])
+@pytest.mark.parametrize("cls", ["wgbts", "wcdgs"])
+@pytest.mark.parametrize("name,depth", [("join", d) for d in range(1, 5)]
+                         + [("chain", d) for d in range(1, 6)])
+def test_weak_classes_match_oracle_on_samples(name, depth, cls, bound):
+    kb = _sample_kb(name)
+    _assert_matches_oracle(
+        classify(kb, cls, depth, rederivation_bound=bound),
+        weak_classify_oracle(kb, cls, depth, rederivation_bound=bound),
+    )
+
+
+def test_weak_classes_match_oracle_on_random_kbs():
+    # 30 KBs with 2 to 500 derivations at depth 3 (the oracle's pairwise
+    # isomorphism checks stay cheap); at most 24 of them gbts-holding, so
+    # the rarer non-greedy KBs, which carry the weak refutations, fill the rest
+    rng = random.Random(2307)
+    checked = greedy = 0
+    while checked < 30:
+        kb = random_kb(rng)
+        try:
+            n = sum(1 for _ in enumerate_derivations(kb.database, kb.rules, 3,
+                                                     max_derivations=500))
+        except ResourceLimitError:
+            continue
+        if n < 2:
+            continue
+        if classify(kb, "gbts", 3).holds:
+            if greedy == 24:
+                continue
+            greedy += 1
+        for bound in ("shortest", "depth"):
+            for cls in ("wgbts", "wcdgs"):
+                _assert_matches_oracle(
+                    classify(kb, cls, 3, rederivation_bound=bound),
+                    weak_classify_oracle(kb, cls, 3, rederivation_bound=bound),
+                )
+        checked += 1
+
+
+def test_canonical_form_budget_gives_unknown(join_kb, monkeypatch):
+    # two r1 steps give an instance with two q-components: two search nodes
+    monkeypatch.setattr(homs, "MAX_CANON_NODES", 1)
+    verdict = classify(join_kb, "wgbts", 3)
+    assert verdict.result == UNKNOWN
+    assert "MAX_CANON_NODES of 1 " in verdict.detail
+
+
+_DIGEST_SCRIPT = """
+import sys
+from pathlib import Path
+from chasegraph.chase import derivation_key
+from chasegraph.classify import Refutation, classify
+from chasegraph.docparse import parse_document
+
+kb = parse_document(Path(sys.argv[1]).read_text()).knowledge_base()
+for cls in ("wgbts", "wcdgs"):
+    cert = classify(kb, cls, 3).certificate
+    if isinstance(cert, Refutation):
+        print(cls, derivation_key(cert.derivation))
+    else:
+        print(cls, [(w.shortest_len, derivation_key(w.witness)) for w in cert])
+"""
+
+
+def test_weak_certificates_independent_of_hash_seed():
+    def run(seed: str) -> str:
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT, str(SAMPLES / "join.rules")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        return proc.stdout
+
+    first = run("0")
+    assert first.count("\n") == 2
+    assert first == run("1")

@@ -222,6 +222,24 @@ def test_classify_weak_holds_json(join_file, capsys):
                for w in payload["certificate"])
 
 
+def test_classify_wcdgs_json_carries_reduction_traces(chain_file, capsys):
+    from chasegraph.classify import classify
+    from chasegraph.docparse import parse_document
+    from pathlib import Path
+
+    assert main(["classify", chain_file, "--class", "wcdgs", "--depth", "3",
+                 "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    kb = parse_document(Path(chain_file).read_text()).knowledge_base()
+    engine = classify(kb, "wcdgs", 3).certificate
+    assert len(payload["certificate"]) == len(engine)
+    assert any(w.trace.steps for w in engine)
+    for w_json, w in zip(payload["certificate"], engine):
+        trace = w_json["trace"]
+        assert trace["complete"] and trace["strategy"] == "full"
+        assert len(trace["steps"]) == len(w.trace.steps)
+
+
 def test_console_entry_point_subprocess(join_file):
     import subprocess, sys
 

@@ -1,8 +1,16 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chasegraph import homs
+from chasegraph.chase import enumerate_derivations
+from chasegraph.docparse import parse_document
+from chasegraph.errors import ResourceLimitError
 from chasegraph.homs import (
     HomSearchProblem,
+    canonical_key,
     find_homomorphisms,
     hom_equivalent,
     isomorphic_mod_nulls,
@@ -144,3 +152,110 @@ def test_search_agrees_with_brute_force_on_recorded_instances(
     body = join_kb.rule_by_id("r4").body
     target = nongreedy_join_derivation.final
     assert find_homomorphisms(body, target) == brute_force_homomorphisms(body, target)
+
+
+# ---------------------------------------------------------------------------
+# canonical keys up to null renaming
+# ---------------------------------------------------------------------------
+
+def _sample_finals(name: str, depth: int) -> list[Instance]:
+    text = (Path(__file__).resolve().parent.parent / "samples" / f"{name}.rules").read_text()
+    kb = parse_document(text).knowledge_base()
+    return [d.final for d in enumerate_derivations(kb.database, kb.rules, depth)]
+
+
+@pytest.mark.parametrize("name,depth", [("join", 4), ("chain", 5)])
+def test_canonical_key_equal_iff_isomorphic(name, depth):
+    # Isomorphism is an equivalence, so comparing every instance with its
+    # key class's first member, and the first members with each other,
+    # decides the claim for all pairs.
+    classes: dict[tuple, list[Instance]] = {}
+    for inst in _sample_finals(name, depth):
+        classes.setdefault(canonical_key(inst), []).append(inst)
+    firsts = [members[0] for members in classes.values()]
+    for members in classes.values():
+        for inst in members[1:]:
+            assert isomorphic_mod_nulls(members[0], inst) is not None
+    for i, a in enumerate(firsts):
+        for b in firsts[i + 1:]:
+            assert isomorphic_mod_nulls(a, b) is None
+
+
+def test_canonical_key_invariant_under_null_renaming():
+    rng = random.Random(5)
+    for inst in _sample_finals("join", 4)[::7] + _sample_finals("chain", 5)[::5]:
+        nulls = sorted(inst.nulls(), key=lambda n: n.ordinal)
+        images = rng.sample(range(10_000, 10_000 + 3 * len(nulls)), len(nulls))
+        ren = Substitution({n: Null(k) for n, k in zip(nulls, images)})
+        assert canonical_key(Instance(ren.apply(inst.atoms))) == canonical_key(inst)
+
+
+def test_canonical_key_splits_symmetric_gadgets_into_components(monkeypatch):
+    # four identical q gadgets and four identical s gadgets: one search node
+    # each, where a single search over all 16 nulls walks 4!*4! orderings
+    ns = [Null(500 + i) for i in range(16)]
+    atoms = {Atom("p", (A,)), Atom("r", (B,))}
+    atoms |= {Atom("q", (A, ns[2 * i], ns[2 * i + 1])) for i in range(4)}
+    atoms |= {Atom("s", (B, ns[8 + 2 * i], ns[9 + 2 * i])) for i in range(4)}
+    inst = Instance(atoms)
+    key = canonical_key(inst)
+    monkeypatch.setattr(homs, "MAX_CANON_NODES", 16)
+    assert canonical_key(inst) == key
+    monkeypatch.setattr(homs, "MAX_CANON_NODES", 7)
+    with pytest.raises(ResourceLimitError, match="16 nulls.*MAX_CANON_NODES of 7 "):
+        canonical_key(inst)
+
+
+def test_canonical_key_prunes_arms_that_hang_off_a_shared_null(monkeypatch):
+    # Seven identical two-null arms on one null: no bare swap of two y's is
+    # an automorphism, but swapping whole arms is, so each level of the
+    # search keeps one child, where an unpruned search visits about e*7! nodes.
+    c, ys, zs = Null(1), [Null(100 + i) for i in range(7)], [Null(200 + i) for i in range(7)]
+    atoms = {Atom("q", (c, y)) for y in ys} | {Atom("q", (y, z)) for y, z in zip(ys, zs)}
+    inst = Instance(atoms)
+    monkeypatch.setattr(homs, "MAX_CANON_NODES", 10)
+    key = canonical_key(inst)
+    rng = random.Random(3)
+    nulls = sorted(inst.nulls(), key=lambda n: n.ordinal)
+    for _ in range(5):
+        ren = Substitution(dict(zip(nulls, map(Null, rng.sample(range(1000, 1100), 15)))))
+        assert canonical_key(Instance(ren.apply(inst.atoms))) == key
+    # same atom and null counts, but one arm is three nulls long and one is one
+    moved = Instance(atoms - {Atom("q", (ys[6], zs[6]))} | {Atom("q", (zs[5], zs[6]))})
+    assert isomorphic_mod_nulls(moved, inst) is None
+    assert canonical_key(moved) != key
+
+
+def _graph(edges) -> Instance:
+    """An undirected graph over nulls, as a symmetric binary relation."""
+    return Instance({Atom("e", (Null(700 + u), Null(700 + v)))
+                     for a, b in edges for u, v in ((a, b), (b, a))})
+
+
+def test_canonical_key_breaks_symmetry_inside_a_component():
+    # K33 and the triangular prism are both connected and 3-regular on six
+    # vertices: colour refinement cannot split them, individualisation must
+    k33 = _graph([(i, j) for i in range(3) for j in range(3, 6)])
+    prism_edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    prism = _graph(prism_edges)
+    assert canonical_key(k33) != canonical_key(prism)
+    perm = [4, 0, 5, 2, 1, 3]
+    relabelled = _graph([(perm[a], perm[b]) for a, b in prism_edges])
+    assert relabelled != prism
+    assert canonical_key(relabelled) == canonical_key(prism)
+    assert isomorphic_mod_nulls(k33, prism) is None
+
+
+def test_canonical_key_tries_every_member_of_a_colour_class():
+    # Two copies of K4 minus an edge, joined at their degree-2 vertices: a
+    # cubic graph (one colour class after refinement) whose vertices are not
+    # all alike (0, 1, 4, 5 lie on two triangles, the rest on one), so the
+    # key may not depend on which null is individualised first.
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+             (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (2, 6), (3, 7)]
+    rng = random.Random(11)
+    keys = set()
+    for _ in range(20):
+        perm = rng.sample(range(8), 8)
+        keys.add(canonical_key(_graph([(perm[a], perm[b]) for a, b in edges])))
+    assert len(keys) == 1
