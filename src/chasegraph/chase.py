@@ -9,24 +9,32 @@ greediness analysis and derivation graphs can be computed after the fact.
 The one-step operator applies *all* triggers of *all* rules in parallel
 with pairwise-distinct fresh nulls; iterating it k times gives the k-level
 saturation used for (sound, bounded) entailment checking.
+
+Enumeration is semi-naive along the depth-first search: a node inherits its
+parent's triggers, which stay valid as instances only grow, and adds those
+matches that read an atom of its step's delta, found by a search seeded with
+that atom.  Merging by canonical key keeps the order of a full recompute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import NotTriggeredError, ResourceLimitError
-from .homs import find_homomorphisms
+from .homs import _index_by_pred, _match_atom, _search, find_homomorphisms
 from .model import (
     Atom,
     Instance,
     Null,
     Rule,
     Substitution,
+    atom_key,
     fresh_null,
     nulls_of,
     term_key,
+    variables_of,
 )
 
 DEFAULT_MAX_ATOMS = 10**5
@@ -117,12 +125,27 @@ def apply_rule(instance: Instance, r: Rule, hom: Substitution) -> tuple[Instance
     The extension sends each existential variable to a fresh null; the
     returned trigger records it so the step can be replayed or audited.
     """
-    hom = hom.restrict(r.body_vars)
-    if not hom.apply(r.body) <= instance.atoms:
+    step, _ = _step(instance, r, hom.restrict(r.body_vars))
+    return step.result, step.trigger
+
+
+def _extension(r: Rule, hom: Substitution) -> Substitution:
+    """The body match plus a fresh null per existential, in sorted variable order."""
+    return hom.extend({z: fresh_null() for z in sorted(r.existentials, key=term_key)})
+
+
+def _step(prev: Instance, r: Rule, hom: Substitution) -> tuple[DerivationStep, frozenset[Atom]]:
+    """The step applying body match ``hom`` to prev, and its new atoms.  Checks
+    cost O(|body| + |head|), so the result is built without rescanning prev."""
+    if not hom.apply(r.body) <= prev.atoms:
         raise NotTriggeredError(f"{r.rid}: homomorphism {hom} is not a trigger")
-    ext = hom.extend({z: fresh_null() for z in sorted(r.existentials, key=term_key)})
-    result = instance | ext.apply(r.head)
-    return result, Trigger(r.rid, hom, ext)
+    ext = _extension(r, hom)
+    image = ext.mapping.get
+    head = frozenset(Atom(a.pred, tuple(map(image, a.args, a.args))) for a in r.head)
+    if variables_of(head):
+        raise ValueError(f"{r.rid}: head image {set(head)} contains variables")
+    delta = head - prev.atoms
+    return DerivationStep(r, Trigger(r.rid, hom, ext), Instance._of(prev.atoms | delta)), delta
 
 
 def one_step(instance: Instance, rules: Sequence[Rule]) -> Instance:
@@ -130,8 +153,7 @@ def one_step(instance: Instance, rules: Sequence[Rule]) -> Instance:
     added: set[Atom] = set()
     for r in rules:
         for hom in triggers(instance, r):
-            ext = hom.extend({z: fresh_null() for z in sorted(r.existentials, key=term_key)})
-            added |= ext.apply(r.head)
+            added |= _extension(r, hom).apply(r.head)
     return instance | added
 
 
@@ -191,6 +213,19 @@ def derivation_key(d: Derivation) -> tuple:
     return tuple(key)
 
 
+def _merge_triggers(old: list[tuple], body: list[Atom], delta: frozenset[Atom],
+                    index: dict) -> list[tuple]:
+    """``old`` (key, hom) pairs plus those of each body match in the indexed
+    instance that maps some body atom onto a delta atom, sorted by key."""
+    found: dict[tuple, Substitution] = {}
+    for i, b in enumerate(body):
+        rest = body[:i] + body[i + 1:]
+        for t in delta:
+            if (t.pred, t.arity) == (b.pred, b.arity) and (m := _match_atom(b, t, {})) is not None:
+                found.update((h.key(), h) for h in _search(rest, index, m, None))
+    return sorted([*old, *found.items()], key=itemgetter(0))
+
+
 def enumerate_derivations(
     db: Instance,
     rules: Sequence[Rule],
@@ -202,9 +237,9 @@ def enumerate_derivations(
     """Yield every derivation from db of length <= max_len, depth-first.
 
     Order is deterministic: children are explored by rule-list order, then
-    by trigger order.  ``dedup="mod-nulls"`` yields one representative per
-    null-renaming class; pruning whole subtrees at a duplicate is sound
-    because isomorphic derivations have isomorphic sets of extensions.
+    by trigger order.  ``dedup="mod-nulls"`` yields the same stream as "none":
+    two derivations of one DFS first differ at a step whose bindings render
+    differently under ``derivation_key``, so no two are null renamings.
     Redundant steps (head image already present) are legal derivation steps
     and are enumerated unless ``skip_redundant`` is set.
     """
@@ -212,27 +247,28 @@ def enumerate_derivations(
         raise ValueError("max_len must be >= 0")
     if dedup not in ("none", "mod-nulls"):
         raise ValueError(f"unknown dedup mode {dedup!r}")
-    seen: set[tuple] = set()
-    count = 0
+    bodies = [sorted(r.body, key=atom_key) for r in rules]
 
-    def walk(d: Derivation) -> Iterator[Derivation]:
-        nonlocal count
-        count += 1
-        if count > max_derivations:
-            raise ResourceLimitError(f"more than {max_derivations} derivations")
-        yield d
-        if len(d) >= max_len:
-            return
-        for r in rules:
-            for hom in triggers(d.final, r):
-                child = d.extend(r, hom)
-                if skip_redundant and not child.new_atoms(len(child)):
-                    continue
-                if dedup == "mod-nulls":
-                    key = derivation_key(child)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                yield from walk(child)
+    def frame(d: Derivation, delta: frozenset[Atom], index: dict, lists: list) -> tuple:
+        index = _index_by_pred(delta, index)
+        lists = [_merge_triggers(old, body, delta, index) for body, old in zip(bodies, lists)]
+        return d, index, lists, ((r, h) for r, ts in zip(rules, lists) for _, h in ts)
 
-    yield from walk(Derivation(db))
+    count, stack = 0, []
+    node = (Derivation(db), db.atoms, {}, [[] for _ in rules])
+    while node or stack:
+        if node:
+            count += 1
+            if count > max_derivations:
+                raise ResourceLimitError(f"more than {max_derivations} derivations")
+            yield node[0]
+            if len(node[0]) < max_len:
+                stack.append(frame(*node))
+            node = None
+        elif (nxt := next(stack[-1][3], None)) is None:
+            stack.pop()
+        else:
+            d, index, lists, _ = stack[-1]
+            step, delta = _step(d.final, *nxt)
+            if delta or not skip_redundant:
+                node = (Derivation(d.initial, d.steps + (step,)), delta, index, lists)

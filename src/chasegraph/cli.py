@@ -32,7 +32,7 @@ def _add_selection_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-len", type=int, default=4,
                    help="enumeration length bound used to resolve derivation ids")
     p.add_argument("--dedup", choices=["none", "mod-nulls"], default="none",
-                   help="derivation deduplication mode")
+                   help="accepted for compatibility; both modes list the same derivations")
 
 
 def _select_derivation(kb: KnowledgeBase, index: int, max_len: int, dedup: str) -> Derivation:

@@ -43,10 +43,14 @@ class HomSearchProblem:
                 raise ValueError(f"seed binds {k}, which does not occur in the source")
 
 
-def _index_by_pred(target: Instance) -> dict[tuple[str, int], list[Atom]]:
-    index: dict[tuple[str, int], list[Atom]] = {}
-    for a in target.sorted_atoms():
-        index.setdefault((a.pred, len(a.args)), []).append(a)
+def _index_by_pred(atoms: frozenset[Atom], base: dict | None = None) -> dict[tuple, tuple]:
+    """(predicate, arity) -> atoms: ``base``'s entries, then ``atoms`` sorted."""
+    grouped: dict[tuple[str, int], list[Atom]] = {}
+    for a in sorted(atoms, key=atom_key):
+        grouped.setdefault((a.pred, len(a.args)), []).append(a)
+    index = dict(base or {})
+    for k, new in grouped.items():
+        index[k] = index.get(k, ()) + tuple(new)
     return index
 
 
@@ -66,6 +70,38 @@ def _match_atom(src: Atom, tgt: Atom, binding: dict[Term, Term]) -> dict[Term, T
     return new
 
 
+def _search(atoms: list[Atom], index: dict, seed: dict[Term, Term],
+            limit: int | None) -> list[Substitution]:
+    """Extensions of ``seed`` mapping ``atoms`` into the indexed atoms, in search
+    order (the first atom with fewest candidates next, candidates in index order)."""
+    results: list[Substitution] = []
+
+    def search(remaining: list[Atom], binding: dict[Term, Term]) -> bool:
+        """Return True when the requested number of results has been found."""
+        if not remaining:
+            results.append(Substitution(binding))
+            return limit is not None and len(results) >= limit
+        pick_i, exts = 0, None
+        for i, a in enumerate(remaining):
+            cands = [e for t in index.get((a.pred, len(a.args)), ())
+                     if (e := _match_atom(a, t, binding)) is not None]
+            if exts is None or len(cands) < len(exts):
+                pick_i, exts = i, cands
+                if not cands:
+                    break
+        rest = remaining[:pick_i] + remaining[pick_i + 1:]
+        for ext in exts:
+            binding.update(ext)
+            if search(rest, binding):
+                return True
+            for k in ext:
+                del binding[k]
+        return False
+
+    search(atoms, dict(seed))
+    return results
+
+
 def find_homomorphisms(
     source: frozenset[Atom] | set[Atom],
     target: Instance,
@@ -78,39 +114,8 @@ def find_homomorphisms(
     the list is complete and sorted canonically; with a limit it holds the
     first matches in (deterministic) search order, sorted.
     """
-    source = frozenset(source)
-    seed = seed or Substitution()
-    index = _index_by_pred(target)
-    atoms = sorted(source, key=atom_key)
-    results: list[Substitution] = []
-
-    def candidates(a: Atom, binding: dict[Term, Term]) -> list[Atom]:
-        pool = index.get((a.pred, len(a.args)), [])
-        return [t for t in pool if _match_atom(a, t, binding) is not None]
-
-    def search(remaining: list[Atom], binding: dict[Term, Term]) -> bool:
-        """Return True when the requested number of results has been found."""
-        if not remaining:
-            results.append(Substitution(binding))
-            return limit is not None and len(results) >= limit
-        ranked = sorted(
-            ((len(candidates(a, binding)), i, a) for i, a in enumerate(remaining)),
-            key=lambda x: (x[0], x[1]),
-        )
-        _, pick_i, pick = ranked[0]
-        rest = remaining[:pick_i] + remaining[pick_i + 1:]
-        for tgt in candidates(pick, binding):
-            ext = _match_atom(pick, tgt, binding)
-            if ext is None:
-                continue
-            binding.update(ext)
-            if search(rest, binding):
-                return True
-            for k in ext:
-                del binding[k]
-        return False
-
-    search(atoms, dict(seed.mapping))
+    atoms = sorted(frozenset(source), key=atom_key)
+    results = _search(atoms, _index_by_pred(target.atoms), seed.mapping if seed else {}, limit)
     results.sort(key=Substitution.key)
     return results
 

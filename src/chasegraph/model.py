@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 from .errors import UnboundVariableError
@@ -118,6 +119,13 @@ class Instance:
                     raise ValueError(f"instance atom {a} contains variable {t}")
         object.__setattr__(self, "atoms", atom_set)
 
+    @classmethod
+    def _of(cls, atoms: frozenset[Atom]) -> "Instance":
+        """Wrap an atom set known to be variable-free, without re-checking it."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "atoms", atoms)
+        return inst
+
     def __contains__(self, a: Atom) -> bool:
         return a in self.atoms
 
@@ -174,13 +182,11 @@ class Substitution:
 
     def __init__(self, mapping: dict[Term, Term] | Iterable[tuple[Term, Term]] = ()):
         m = dict(mapping)
-        for k, v in m.items():
-            if isinstance(k, Constant):
-                if k != v:
-                    raise ValueError(f"constant {k} cannot be remapped to {v}")
-        object.__setattr__(self, "mapping", {
-            k: v for k, v in m.items() if not isinstance(k, Constant)
-        })
+        for k in [k for k in m if isinstance(k, Constant)]:
+            v = m.pop(k)
+            if k != v:
+                raise ValueError(f"constant {k} cannot be remapped to {v}")
+        object.__setattr__(self, "mapping", m)
 
     def __getitem__(self, t: Term) -> Term:
         if isinstance(t, Constant):
@@ -254,7 +260,7 @@ class Rule:
 
     The frontier is the set of variables shared by body and head; head
     variables outside the frontier are existential and get a fresh null at
-    each application.
+    each application.  The derived variable sets are computed once per rule.
     """
 
     rid: str
@@ -269,19 +275,19 @@ class Rule:
         if nulls_of(self.body) or nulls_of(self.head):
             raise ValueError(f"rule {self.rid}: rules may not contain nulls")
 
-    @property
+    @cached_property
     def body_vars(self) -> frozenset[Variable]:
         return variables_of(self.body)
 
-    @property
+    @cached_property
     def head_vars(self) -> frozenset[Variable]:
         return variables_of(self.head)
 
-    @property
+    @cached_property
     def frontier(self) -> frozenset[Variable]:
         return self.body_vars & self.head_vars
 
-    @property
+    @cached_property
     def existentials(self) -> frozenset[Variable]:
         return self.head_vars - self.body_vars
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .model import Atom, Constant, Instance, KnowledgeBase, Rule, Variable
+from .model import Atom, Constant, Instance, KnowledgeBase, Rule, Variable, atom_key
 
 _PRED_NAMES = ("p", "q", "r", "s")
 _CONSTANTS = (Constant("a"), Constant("b"), Constant("c"))
@@ -57,7 +57,7 @@ def random_kb(rng: random.Random) -> KnowledgeBase:
     def make_join_rule(idx: int, producers: tuple[Rule, ...]) -> Rule | None:
         # read one head atom from each of two producer rules, with disjoint
         # variables, and echo a variable of each in the head
-        heads = [a for r in producers for a in r.head]
+        heads = [a for r in producers for a in sorted(r.head, key=atom_key)]
         if len(heads) < 2:
             return None
         left = rng.choice(heads)

@@ -10,6 +10,11 @@ The weak-class oracle is the classifier's earlier engine for wgbts and
 wcdgs: instances are bucketed by a cheap shape key and grouped by pairwise
 ``isomorphic_mod_nulls``, and each group's good derivation is searched by
 iterative deepening, one fresh enumeration per length.
+
+The enumeration oracle is the chase's earlier derivation enumerator: at each
+node it recomputes every rule's triggers over the whole instance, applies
+each through the public ``Derivation.extend``, and recurses; its
+``"mod-nulls"`` mode keeps the set of derivation keys it has seen.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from chasegraph.analysis import _rename_apart, _witnesses_dependence, is_greedy
-from chasegraph.chase import enumerate_derivations
+from chasegraph.chase import Derivation, derivation_key, enumerate_derivations, triggers
 from chasegraph.classify import (
     HOLDS,
     REFUTED,
@@ -109,6 +114,36 @@ def brute_force_depends_on(r2: Rule, r1: Rule, max_fresh: int = 3) -> bool:
             if _witnesses_dependence(instance, r1, r2):
                 return True
     return False
+
+
+def enumerate_oracle(db: Instance, rules, max_len: int, dedup: str = "none",
+                     skip_redundant: bool = False, max_derivations: int = 10**6):
+    """Every derivation from db of length <= max_len, depth-first, recomputing
+    each node's triggers over the whole instance."""
+    seen: set[tuple] = set()
+    count = 0
+
+    def walk(d: Derivation):
+        nonlocal count
+        count += 1
+        if count > max_derivations:
+            raise ResourceLimitError(f"more than {max_derivations} derivations")
+        yield d
+        if len(d) >= max_len:
+            return
+        for r in rules:
+            for hom in triggers(d.final, r):
+                child = d.extend(r, hom)
+                if skip_redundant and not child.new_atoms(len(child)):
+                    continue
+                if dedup == "mod-nulls":
+                    key = derivation_key(child)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                yield from walk(child)
+
+    yield from walk(Derivation(db))
 
 
 def _bucket_key(inst: Instance) -> tuple:

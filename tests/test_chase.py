@@ -1,7 +1,14 @@
+import itertools
+import random
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
 
 from chasegraph.chase import (
     Derivation,
+    DerivationStep,
+    Trigger,
     apply_rule,
     chase_k,
     chase_levels,
@@ -10,11 +17,16 @@ from chasegraph.chase import (
     one_step,
     triggers,
 )
+from chasegraph.docparse import parse_document
 from chasegraph.errors import NotTriggeredError, ResourceLimitError
 from chasegraph.homs import hom_exists, isomorphic_mod_nulls
-from chasegraph.model import Atom, Instance, Rule, Substitution, nulls_of
+from chasegraph.model import Atom, Constant, Instance, Rule, Substitution, Variable, nulls_of
+from chasegraph.randkb import random_kb
 
-from conftest import A, B, X, Y
+from conftest import A, B, X, Y, Z
+from oracles import enumerate_oracle
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def test_triggers_on_database(join_kb):
@@ -153,3 +165,132 @@ def test_dedup_identifies_renamed_runs(join_kb):
     d_b = Derivation(join_kb.database).extend(r1, Substitution({X: A}))
     assert derivation_key(d_a) == derivation_key(d_b)
     assert isomorphic_mod_nulls(d_a.final, d_b.final) is not None
+
+
+# ---------------------------------------------------------------------------
+# the incremental enumerator against the full-recompute oracle
+# ---------------------------------------------------------------------------
+
+def _stream(enum, db, rules, depth, **kwargs) -> tuple[list[tuple], bool]:
+    """(derivation keys in yield order, whether the derivation budget tripped)."""
+    keys = []
+    try:
+        for d in enum(db, rules, depth, **kwargs):
+            keys.append(derivation_key(d))
+    except ResourceLimitError:
+        return keys, True
+    return keys, False
+
+
+@lru_cache(maxsize=None)
+def _sample_kb(name: str):
+    return parse_document((SAMPLES / f"{name}.rules").read_text()).knowledge_base()
+
+
+def _random_kbs(count: int = 30, budget: int = 500):
+    """The first ``count`` seeded KBs with 2 to ``budget`` derivations at depth 3."""
+    rng, kbs = random.Random(4011), []
+    while len(kbs) < count:
+        kb = random_kb(rng)
+        keys, tripped = _stream(enumerate_oracle, kb.database, kb.rules, 3,
+                                max_derivations=budget)
+        if not tripped and len(keys) >= 2:
+            kbs.append((kb, keys))
+    return kbs
+
+
+SAMPLE_CASES = [("join", d) for d in range(6)] + [("chain", d) for d in range(7)]
+
+
+@pytest.mark.parametrize("name,depth", SAMPLE_CASES)
+def test_enumerator_matches_oracle_on_samples(name, depth):
+    kb = _sample_kb(name)
+    new = _stream(enumerate_derivations, kb.database, kb.rules, depth)
+    assert new == _stream(enumerate_oracle, kb.database, kb.rules, depth)
+    assert not new[1]
+
+
+@pytest.mark.parametrize("name,depth", [c for c in SAMPLE_CASES if c[1] >= 1])
+def test_mod_nulls_dedup_prunes_nothing(name, depth):
+    kb = _sample_kb(name)
+    old = _stream(enumerate_oracle, kb.database, kb.rules, depth, dedup="mod-nulls")
+    assert old == _stream(enumerate_oracle, kb.database, kb.rules, depth, dedup="none")
+    for dedup in ("none", "mod-nulls"):
+        assert _stream(enumerate_derivations, kb.database, kb.rules, depth, dedup=dedup) == old
+
+
+def test_enumerator_matches_oracle_on_random_kbs():
+    # keys come from the oracle without dedup; its mod-nulls mode prunes nothing either
+    for kb, keys in _random_kbs():
+        db, rules = kb.database, kb.rules
+        assert _stream(enumerate_oracle, db, rules, 3, dedup="mod-nulls") == (keys, False)
+        for dedup in ("none", "mod-nulls"):
+            assert _stream(enumerate_derivations, db, rules, 3, dedup=dedup) == (keys, False)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 10, 59, 100, 336])
+def test_budget_trips_where_the_oracle_does(budget):
+    kb = _sample_kb("join")
+    new = _stream(enumerate_derivations, kb.database, kb.rules, 4, max_derivations=budget)
+    assert new == _stream(enumerate_oracle, kb.database, kb.rules, 4, max_derivations=budget)
+    assert len(new[0]) == min(budget, 336) and new[1] == (budget < 336)
+
+
+def test_budget_trips_where_the_oracle_does_on_random_kbs():
+    rng = random.Random(4012)
+    for _ in range(40):
+        kb = random_kb(rng)
+        assert (_stream(enumerate_derivations, kb.database, kb.rules, 3, max_derivations=25)
+                == _stream(enumerate_oracle, kb.database, kb.rules, 3, max_derivations=25))
+
+
+def test_skip_redundant_matches_oracle():
+    # copy is redundant everywhere; grow makes fresh nulls that copy then echoes
+    copy = Rule("copy", frozenset({Atom("e", (X, Y))}), frozenset({Atom("e", (X, Y))}))
+    grow = Rule("grow", frozenset({Atom("e", (X, Y))}), frozenset({Atom("e", (Y, Z))}))
+    swap = Rule("swap", frozenset({Atom("e", (X, Y)), Atom("e", (Y, Z))}),
+                frozenset({Atom("e", (Z, X))}))
+    db = Instance({Atom("e", (A, B))})
+    rules = (copy, grow, swap)
+    for skip in (False, True):
+        new = _stream(enumerate_derivations, db, rules, 4, skip_redundant=skip)
+        assert new == _stream(enumerate_oracle, db, rules, 4, skip_redundant=skip)
+    kept = _stream(enumerate_derivations, db, rules, 4, skip_redundant=True)[0]
+    assert all("copy" not in [rid for rid, _ in key] for key in kept)
+    assert len(kept) < len(_stream(enumerate_derivations, db, rules, 4)[0])
+
+
+def test_enumerated_chain_derivations_validate_to_depth_5():
+    kb = _sample_kb("chain")
+    count = 0
+    for d in enumerate_derivations(kb.database, kb.rules, 5):
+        d.validate()
+        count += 1
+    assert count == 170
+
+
+def test_validate_rejects_a_trigger_outside_the_instance(join_kb):
+    d = Derivation(join_kb.database).extend(join_kb.rule_by_id("r1"), Substitution({X: A}))
+    step = d.steps[0]
+    ext = Substitution({**step.trigger.extension.mapping, X: B})
+    bad = DerivationStep(step.rule, Trigger("r1", Substitution({X: B}), ext), step.result)
+    with pytest.raises(ValueError, match="does not map the body"):
+        Derivation(d.initial, (bad,)).validate()
+
+
+def test_enumeration_depth_is_not_bounded_by_the_recursion_limit():
+    # the leftmost path re-applies X -> a at every step (constants sort before nulls)
+    r = Rule("r", frozenset({Atom("p", (X,))}), frozenset({Atom("p", (Y,))}))
+    db = Instance({Atom("p", (Constant("a"),))})
+    first = list(itertools.islice(enumerate_derivations(db, (r,), 1500), 1501))
+    assert [len(d) for d in first] == list(range(1501))
+    assert all(s.trigger.hom == Substitution({X: Constant("a")}) for s in first[-1].steps)
+
+
+def test_rule_properties_are_cached_without_changing_identity():
+    r = Rule("r", frozenset({Atom("p", (X, Y))}), frozenset({Atom("q", (Y, Z))}))
+    twin = Rule("r", frozenset({Atom("p", (X, Y))}), frozenset({Atom("q", (Y, Z))}))
+    assert r.body_vars is r.body_vars and r.existentials is r.existentials
+    assert (r.body_vars, r.head_vars, r.frontier, r.existentials) == ({X, Y}, {Y, Z}, {Y}, {Z})
+    assert r == twin and hash(r) == hash(twin) and {r, twin} == {twin}
+    assert Variable("X") in r.body_vars

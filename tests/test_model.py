@@ -113,6 +113,13 @@ def test_substitution_rejects_constant_remap():
         Substitution({A: B})
 
 
+def test_substitution_drops_constants_fixed_to_themselves():
+    s = Substitution([(X, B), (A, A), (Y, A)])
+    assert s.mapping == {X: B, Y: A} and list(s.mapping) == [X, Y]
+    with pytest.raises(ValueError, match="constant b cannot be remapped to a"):
+        Substitution({A: A, B: A, X: A})
+
+
 names = st.sampled_from("abc")
 terms = st.one_of(
     st.builds(Constant, names),
