@@ -37,6 +37,7 @@ from .classify import (
 )
 from .derivgraph import (
     DerivationGraph,
+    NodeFacts,
     build_derivation_graph,
     check_decomposition_properties,
     check_generative_paths,

@@ -10,12 +10,15 @@ several frontier atoms of one step hit the same earlier node, the single
 arc carries the union of their labels.
 
 Graphs are immutable; the reduction engine produces rewritten copies that
-share node decorations.
+share one ``NodeFacts``: the decorations and every per-node fact derived
+from them, computed once per built graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Container, Iterable, Mapping
 
 from .chase import Derivation, Trigger
 from .errors import UnknownTermError
@@ -35,61 +38,124 @@ from .model import (
 Arc = tuple[int, int]
 
 
-class DerivationGraph:
-    """Decorated DAG over derivation steps; arcs always point forward."""
+@dataclass(frozen=True, eq=False)
+class NodeFacts:
+    """Everything about a graph's nodes that reduction never changes.
 
-    __slots__ = ("at", "arcs", "constants", "provenance")
+    Reduction rewrites arcs and labels only, so one ``NodeFacts`` is built
+    per derivation graph and shared by every reduced copy.  ``terms[i]`` is
+    terms(Xi) (the node's terms plus every constant), ``nonconstant[i]`` the
+    node's terms minus the constants, ``frontier[i]`` the frontier image of
+    the node's creating step minus the constants, and ``occurrences`` maps
+    each non-constant term to the increasing tuple of nodes containing it.
+    """
 
-    def __init__(
-        self,
+    at: tuple[frozenset[Atom], ...]
+    constants: frozenset[Constant]
+    provenance: tuple[tuple[Rule, Trigger] | None, ...]
+    terms: tuple[frozenset[Term], ...]
+    nonconstant: tuple[frozenset[Term], ...]
+    frontier: tuple[frozenset[Term], ...]
+    occurrences: Mapping[Term, tuple[int, ...]]
+
+    @classmethod
+    def of(
+        cls,
         at: tuple[frozenset[Atom], ...],
-        arcs: dict[Arc, frozenset[Term]],
         constants: frozenset[Constant],
         provenance: tuple[tuple[Rule, Trigger] | None, ...],
-    ):
-        for (i, j) in arcs:
-            if not 0 <= i < j < len(at):
+    ) -> "NodeFacts":
+        own = [terms_of(atoms) for atoms in at]
+        nonconstant = tuple(ts - constants for ts in own)
+        frontier = tuple(
+            frozenset() if prov is None
+            else frozenset(prov[1].extension[v] for v in prov[0].frontier) - constants
+            for prov in provenance
+        )
+        occurrences: dict[Term, list[int]] = {}
+        for i, ts in enumerate(nonconstant):
+            for t in ts:
+                occurrences.setdefault(t, []).append(i)
+        return cls(
+            at, constants, provenance,
+            tuple(ts | constants for ts in own), nonconstant, frontier,
+            MappingProxyType({t: tuple(nodes) for t, nodes in occurrences.items()}),
+        )
+
+
+class DerivationGraph:
+    """Decorated DAG over derivation steps; arcs always point forward.
+
+    Node facts are shared with every reduced copy; the parent index is
+    computed once per graph from its own arcs.
+    """
+
+    __slots__ = ("facts", "arcs", "_parents")
+
+    def __init__(self, facts: NodeFacts, arcs: dict[Arc, frozenset[Term]]):
+        n = len(facts.at)
+        parents: dict[int, list[int]] = {}
+        for (i, j) in sorted(arcs):
+            if not 0 <= i < j < n:
                 raise ValueError(f"arc ({i},{j}) violates forward orientation")
-        self.at = at
+            parents.setdefault(j, []).append(i)
+        self.facts = facts
         self.arcs = dict(arcs)
-        self.constants = constants
-        self.provenance = provenance
+        self._parents = {j: tuple(ps) for j, ps in parents.items()}
+
+    @property
+    def at(self) -> tuple[frozenset[Atom], ...]:
+        return self.facts.at
+
+    @property
+    def constants(self) -> frozenset[Constant]:
+        return self.facts.constants
+
+    @property
+    def provenance(self) -> tuple[tuple[Rule, Trigger] | None, ...]:
+        return self.facts.provenance
 
     def __len__(self) -> int:
-        return len(self.at)
+        return len(self.facts.at)
 
     @property
     def nodes(self) -> range:
-        return range(len(self.at))
+        return range(len(self.facts.at))
 
     def label(self, i: int, j: int) -> frozenset[Term]:
         return self.arcs[(i, j)]
 
     def node_terms(self, i: int) -> frozenset[Term]:
         """terms(Xi) = terms of the node's atoms plus every constant."""
-        return terms_of(self.at[i]) | self.constants
+        return self.facts.terms[i]
 
     def nonconstant_terms(self, i: int) -> frozenset[Term]:
-        return terms_of(self.at[i]) - self.constants
+        return self.facts.nonconstant[i]
 
-    def parents(self, k: int) -> list[int]:
-        return sorted(i for (i, j) in self.arcs if j == k)
+    def parents(self, k: int) -> tuple[int, ...]:
+        return self._parents.get(k, ())
 
     def children(self, i: int) -> list[int]:
         return sorted(j for (i2, j) in self.arcs if i2 == i)
 
     def in_degree(self, k: int) -> int:
-        return sum(1 for (_, j) in self.arcs if j == k)
+        return len(self._parents.get(k, ()))
+
+    def convergence_points(self) -> list[int]:
+        """Nodes with two or more incoming arcs, in index order."""
+        return sorted(k for k, ps in self._parents.items() if len(ps) > 1)
 
     def with_arcs(self, arcs: dict[Arc, frozenset[Term]]) -> "DerivationGraph":
-        return DerivationGraph(self.at, arcs, self.constants, self.provenance)
+        return DerivationGraph(self.facts, arcs)
 
-    def state_key(self) -> tuple:
-        """Canonical encoding of the arc structure, for memoized search."""
-        return tuple(
-            (i, j, tuple(sorted(map(term_key, lbl))))
-            for (i, j), lbl in sorted(self.arcs.items())
-        )
+    def state_key(self) -> frozenset:
+        """Hashable encoding of the arc structure, for memoized search.
+
+        Two keys are equal exactly when the graphs have the same arcs with
+        the same labels.  Compare keys or test membership; never iterate
+        over one, since its order depends on the hash seed.
+        """
+        return frozenset(self.arcs.items())
 
     def __repr__(self) -> str:
         arcs = ", ".join(
@@ -124,7 +190,8 @@ def build_derivation_graph(d: Derivation, kb: KnowledgeBase) -> DerivationGraph:
             arcs[(i, j)] = arcs.get((i, j), frozenset()) | contribution
         for a in new:
             owner[a] = j
-    return DerivationGraph(tuple(at), arcs, frozenset(constants), tuple(provenance))
+    facts = NodeFacts.of(tuple(at), frozenset(constants), tuple(provenance))
+    return DerivationGraph(facts, arcs)
 
 
 def node_frontier(g: DerivationGraph, node: int) -> frozenset[Term]:
@@ -135,16 +202,43 @@ def node_frontier(g: DerivationGraph, node: int) -> frozenset[Term]:
     """
     if g.in_degree(node) == 0:
         return frozenset()
-    r, trig = g.provenance[node]
-    return frozenset(trig.extension[v] for v in r.frontier) - g.constants
+    return g.facts.frontier[node]
 
 
 def x_generative_node(g: DerivationGraph, x: Null) -> int:
     """The earliest node whose non-constant terms contain x."""
-    for i in g.nodes:
-        if x in g.nonconstant_terms(i):
-            return i
-    raise UnknownTermError(f"{x} occurs in no node of the graph")
+    nodes = g.facts.occurrences.get(x)
+    if not nodes:
+        raise UnknownTermError(f"{x} occurs in no node of the graph")
+    return nodes[0]
+
+
+def adjacency(
+    edges: Iterable[Arc], nodes: Iterable[int], directed: bool = False
+) -> dict[int, list[int]]:
+    """Neighbour lists of ``nodes`` (and of every edge endpoint) over
+    ``edges``; undirected unless ``directed``, then successors only."""
+    adj: dict[int, list[int]] = {n: [] for n in nodes}
+    for (i, j) in edges:
+        adj.setdefault(i, []).append(j)
+        if not directed:
+            adj.setdefault(j, []).append(i)
+    return adj
+
+
+def reachable(
+    adj: dict[int, list[int]], start: int, within: Container[int] | None = None
+) -> set[int]:
+    """Nodes reachable from ``start`` through ``adj``, entering only nodes
+    in ``within`` when given (``start`` itself is always included)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in adj.get(stack.pop(), ()):
+            if nxt not in seen and (within is None or nxt in within):
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -174,41 +268,29 @@ def check_decomposition_properties(
     """
     from .treedecomp import width_bound  # local import to avoid a cycle
 
+    facts = g.facts
     failures: list[str] = []
-    covered = frozenset.union(*(g.node_terms(i) for i in g.nodes))
+    covered = frozenset.union(*facts.terms)
     want = final.terms() | g.constants
     term_cover = covered == want
     if not term_cover:
         failures.append(f"term cover: {covered ^ want} mismatched")
 
-    decorated = frozenset.union(*(frozenset(g.at[i]) for i in g.nodes))
+    decorated = frozenset().union(*facts.at)
     atom_cover = final.atoms <= decorated
     if not atom_cover:
         failures.append(f"atom cover: missing {final.atoms - decorated}")
 
     connected = True
-    undirected: dict[int, set[int]] = {i: set() for i in g.nodes}
-    for (i, j) in g.arcs:
-        undirected[i].add(j)
-        undirected[j].add(i)
+    undirected = adjacency(g.arcs, g.nodes)
     for x in sorted(final.nulls(), key=term_key):
-        members = {i for i in g.nodes if x in g.nonconstant_terms(i)}
-        if not members:
-            continue
-        start = min(members)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in undirected[stack.pop()]:
-                if nxt in members and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen != members:
+        members = set(facts.occurrences.get(x, ()))
+        if members and reachable(undirected, min(members), members) != members:
             connected = False
             failures.append(f"occurrence subgraph for {x} is disconnected")
 
     bound = width_bound(kb)
-    oversized = [i for i in g.nodes if len(g.node_terms(i)) > bound]
+    oversized = [i for i, ts in enumerate(facts.terms) if len(ts) > bound]
     bounded = not oversized
     if oversized:
         failures.append(f"nodes {oversized} exceed the term bound {bound}")
@@ -221,25 +303,20 @@ def check_generative_paths(g: DerivationGraph) -> list[str]:
     directed path to every other node containing that null, running only
     through nodes that contain it and never through a later index.
 
+    Arcs point forward, so every directed path ending at a node runs only
+    through earlier nodes; one search from the generative node per null
+    therefore decides every member.
+
     Returns a list of violation descriptions (empty = property holds).
     """
     violations: list[str] = []
-    all_nulls = frozenset.union(
-        frozenset(), *(g.nonconstant_terms(i) for i in g.nodes)
-    )
-    for x in sorted((t for t in all_nulls if isinstance(t, Null)), key=term_key):
-        members = [i for i in g.nodes if x in g.nonconstant_terms(i)]
+    successors = adjacency(g.arcs, g.nodes, directed=True)
+    occurrences = g.facts.occurrences
+    for x in sorted((t for t in occurrences if isinstance(t, Null)), key=term_key):
+        members = occurrences[x]
         gen = members[0]
+        seen = reachable(successors, gen, set(members))
         for k in members:
-            allowed = {m for m in members if m <= k}
-            seen = {gen}
-            stack = [gen]
-            while stack:
-                cur = stack.pop()
-                for (i, j) in g.arcs:
-                    if i == cur and j in allowed and j not in seen:
-                        seen.add(j)
-                        stack.append(j)
             if k not in seen:
                 violations.append(f"no admissible directed path from X{gen} to X{k} for {x}")
     return violations

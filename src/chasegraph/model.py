@@ -344,8 +344,9 @@ class KnowledgeBase:
                 raise ValueError(f"duplicate rule id {r.rid}")
             seen[r.rid] = r
 
-    @property
+    @cached_property
     def constants(self) -> frozenset[Constant]:
+        """Constants of the database and the rules, computed once per KB."""
         cs = set(self.database.constants())
         for r in self.rules:
             cs |= r.constants()

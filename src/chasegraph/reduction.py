@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Union
 
-from .derivgraph import DerivationGraph, node_frontier
+from .derivgraph import DerivationGraph
 from .errors import ResourceLimitError, SideConditionViolatedError
 from .model import Term, term_key
 
@@ -120,12 +120,7 @@ def is_cycle_free(g: DerivationGraph) -> bool:
     out undirected cycles (any undirected cycle must contain a node where
     two of its arcs converge), so the underlying graph is a forest.
     """
-    indegree: dict[int, int] = {}
-    for (_, j) in g.arcs:
-        indegree[j] = indegree.get(j, 0) + 1
-        if indegree[j] > 1:
-            return False
-    return True
+    return not g.convergence_points()
 
 
 @dataclass(frozen=True)
@@ -155,27 +150,24 @@ class ReductionTrace:
                 raise ValueError(f"replay diverges after step {p} ({step.describe()})")
 
 
-def _convergence_points(g: DerivationGraph) -> list[int]:
-    return sorted(k for k in g.nodes if g.in_degree(k) >= 2)
-
-
 def _reduce_cr_only(g: DerivationGraph) -> ReductionTrace | None:
     steps: list[ReductionStep] = []
     graphs = [g]
+    terms = g.facts.terms
     while True:
-        points = _convergence_points(g)
+        points = g.convergence_points()
         if not points:
             break
         k = points[0]
-        parents = g.parents(k)
-        chosen: CrStep | None = None
-        for l in range(k):  # smallest witness first
-            for i, j in combinations(parents, 2):
-                if g.arcs[(i, k)] | g.arcs[(j, k)] <= g.node_terms(l):
-                    chosen = CrStep(i, j, k, l)
-                    break
-            if chosen:
-                break
+        unions = [
+            (i, j, g.arcs[(i, k)] | g.arcs[(j, k)])
+            for i, j in combinations(g.parents(k), 2)
+        ]
+        chosen = next(  # smallest witness first
+            (CrStep(i, j, k, l) for l in range(k) for i, j, union in unions
+             if union <= terms[l]),
+            None,
+        )
         if chosen is None:
             return None
         g = apply_cr(g, chosen.i, chosen.j, chosen.k, chosen.l)
@@ -186,24 +178,23 @@ def _reduce_cr_only(g: DerivationGraph) -> ReductionTrace | None:
 
 def _moves(g: DerivationGraph) -> Iterator[ReductionStep]:
     """All applicable reduction steps, in a fixed deterministic order."""
-    for (i, j), lbl in sorted(g.arcs.items()):
-        if not lbl:
-            yield ArStep(i, j)
-    for k in g.nodes:
+    arcs = g.arcs
+    terms = g.facts.terms
+    for (i, j) in sorted(arc for arc, lbl in arcs.items() if not lbl):
+        yield ArStep(i, j)
+    for k in g.convergence_points():
         parents = g.parents(k)
-        if len(parents) < 2:
-            continue
         for i in parents:
             for j in parents:
                 if i == j:
                     continue
-                shared = g.arcs[(i, k)] & g.arcs[(j, k)]
+                shared = arcs[(i, k)] & arcs[(j, k)]
                 for t in sorted(shared, key=term_key):
                     yield TrStep(i, j, k, t)
         for i, j in combinations(parents, 2):
-            union = g.arcs[(i, k)] | g.arcs[(j, k)]
+            union = arcs[(i, k)] | arcs[(j, k)]
             for l in range(k):
-                if union <= g.node_terms(l):
+                if union <= terms[l]:
                     yield CrStep(i, j, k, l)
 
 
@@ -213,31 +204,39 @@ def _reduce_full(g: DerivationGraph, max_states: int) -> ReductionTrace | None:
     Every operation strictly shrinks (arc count, total label size)
     lexicographically, so the state space is a finite DAG and plain DFS with
     a visited set is complete.  Exceeding the state budget raises instead of
-    reporting irreducibility.
+    reporting irreducibility.  The search keeps an explicit stack, one move
+    iterator per graph on the current path, so its depth is not bounded by
+    the interpreter's recursion limit.
     """
-    seen: set[tuple] = set()
-
-    def dfs(cur: DerivationGraph, steps: list, graphs: list) -> ReductionTrace | None:
+    seen: set[frozenset] = set()
+    steps: list[ReductionStep] = []
+    graphs = [g]
+    pending: list[Iterator[ReductionStep]] = []  # pending[d] = moves left at graphs[d]
+    while True:
+        cur = graphs[-1]
         if is_cycle_free(cur):
-            return ReductionTrace(graphs[0], tuple(steps), tuple(graphs))
+            return ReductionTrace(g, tuple(steps), tuple(graphs))
         key = cur.state_key()
         if key in seen:
-            return None
-        seen.add(key)
-        if len(seen) > max_states:
-            raise ResourceLimitError(f"reduction search exceeded {max_states} states")
-        for step in _moves(cur):
-            nxt = apply_step(cur, step)
-            steps.append(step)
-            graphs.append(nxt)
-            found = dfs(nxt, steps, graphs)
-            if found is not None:
-                return found
-            steps.pop()
+            steps.pop()  # only a step can reach a seen state; the root is new
             graphs.pop()
-        return None
-
-    return dfs(g, [], [g])
+        else:
+            seen.add(key)
+            if len(seen) > max_states:
+                raise ResourceLimitError(f"reduction search exceeded {max_states} states")
+            pending.append(_moves(cur))
+        while pending:
+            step = next(pending[-1], None)
+            if step is not None:
+                break
+            pending.pop()
+            if steps:
+                steps.pop()
+                graphs.pop()
+        else:
+            return None
+        steps.append(step)
+        graphs.append(apply_step(graphs[-1], step))
 
 
 def reduce_graph(
@@ -284,25 +283,30 @@ def check_prefix_invariants(trace: ReductionTrace) -> PrefixInvariantReport:
     failures: list[str] = []
     fr_ok = lbl_ok = wit_ok = True
     check_witness = trace.complete
+    witnessed: dict[tuple, bool] = {}  # (facts, node) -> an earlier node covers its frontier
     for p, g in enumerate(trace.graphs):
+        facts = g.facts
         for n in g.nodes:
             parents = g.parents(n)
             if not parents:
                 continue
             incoming = frozenset().union(*(g.arcs[(i, n)] for i in parents))
-            if node_frontier(g, n) != incoming:
+            if facts.frontier[n] != incoming:
                 fr_ok = False
                 failures.append(f"prefix {p}: frontier of X{n} != union of incoming labels")
         for (i, j), lbl in g.arcs.items():
-            if not lbl <= g.node_terms(i):
+            if not lbl <= facts.terms[i]:
                 lbl_ok = False
                 failures.append(f"prefix {p}: label of ({i},{j}) escapes terms(X{i})")
         if check_witness:
             for n in g.nodes:
                 if g.in_degree(n) == 0:
                     continue
-                fr = node_frontier(g, n)
-                if not any(fr <= g.node_terms(m) for m in range(n)):
+                ok = witnessed.get((facts, n))
+                if ok is None:
+                    fr = facts.frontier[n]
+                    ok = witnessed[(facts, n)] = any(fr <= facts.terms[m] for m in range(n))
+                if not ok:
                     wit_ok = False
                     failures.append(f"prefix {p}: no earlier node covers the frontier of X{n}")
     return PrefixInvariantReport(fr_ok, lbl_ok, wit_ok, tuple(failures))

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .derivgraph import DerivationGraph
+from .derivgraph import DerivationGraph, adjacency, reachable
 from .errors import NotCycleFreeError
-from .model import Instance, KnowledgeBase, Term, term_key
+from .model import Instance, KnowledgeBase, Term
 from .reduction import is_cycle_free
 
 
@@ -22,23 +23,17 @@ class TreeDecomposition:
     def width(self) -> int:
         return max(len(b) for b in self.bags) - 1
 
+    @cached_property
+    def _adjacency(self) -> dict[int, list[int]]:
+        """Undirected neighbour lists, built once per decomposition."""
+        return adjacency(self.edges, range(len(self.bags)))
+
     def neighbors(self, i: int) -> list[int]:
-        out = [b for (a, b) in self.edges if a == i]
-        out += [a for (a, b) in self.edges if b == i]
-        return sorted(out)
+        return sorted(self._adjacency.get(i, ()))
 
     def is_tree(self) -> bool:
         n = len(self.bags)
-        if len(self.edges) != n - 1:
-            return False
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            for nxt in self.neighbors(stack.pop()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == n
+        return len(self.edges) == n - 1 and len(reachable(self._adjacency, self.root)) == n
 
 
 def extract_tree_decomposition(g: DerivationGraph) -> TreeDecomposition:
@@ -54,19 +49,12 @@ def extract_tree_decomposition(g: DerivationGraph) -> TreeDecomposition:
     bags = tuple(g.node_terms(i) for i in g.nodes)
     edges = {(min(i, j), max(i, j)) for (i, j) in g.arcs}
 
+    undirected = adjacency(g.arcs, g.nodes)
     component: dict[int, int] = {}
     for i in g.nodes:
-        if i in component:
-            continue
-        stack = [i]
-        component[i] = i
-        while stack:
-            cur = stack.pop()
-            for (a, b) in g.arcs:
-                for nxt in ((b,) if a == cur else (a,) if b == cur else ()):
-                    if nxt not in component:
-                        component[nxt] = i
-                        stack.append(nxt)
+        if i not in component:
+            for n in reachable(undirected, i):
+                component[n] = i
     roots = sorted({component[i] for i in g.nodes})
     for a, b in zip(roots, roots[1:]):
         edges.add((a, b))
@@ -89,19 +77,14 @@ def validate_tree_decomposition(td: TreeDecomposition, instance: Instance) -> bo
         needed = a.terms()
         if not any(needed <= bag for bag in td.bags):
             return False
-    for t in sorted(union, key=term_key):
-        members = {i for i, bag in enumerate(td.bags) if t in bag}
-        start = min(members)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in td.neighbors(stack.pop()):
-                if nxt in members and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen != members:
-            return False
-    return True
+    occurrences: dict[Term, set[int]] = {}
+    for i, bag in enumerate(td.bags):
+        for t in bag:
+            occurrences.setdefault(t, set()).add(i)
+    return all(
+        reachable(td._adjacency, min(members), members) == members
+        for members in occurrences.values()
+    )
 
 
 def width_bound(kb: KnowledgeBase) -> int:

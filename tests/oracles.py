@@ -15,6 +15,11 @@ The enumeration oracle is the chase's earlier derivation enumerator: at each
 node it recomputes every rule's triggers over the whole instance, applies
 each through the public ``Derivation.extend``, and recurses; its
 ``"mod-nulls"`` mode keeps the set of derivation keys it has seen.
+
+The graph oracles are the reduction engine's and the graph checks' earlier
+code: they read only a graph's decorations, constants, provenance and arcs,
+recompute every node's term set, parents and frontier on each call, key
+search states by a sorted tuple, and search full reductions recursively.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from chasegraph.classify import (
     GroupWitness,
     Refutation,
 )
-from chasegraph.derivgraph import build_derivation_graph
+from chasegraph.derivgraph import DecompositionReport, build_derivation_graph
 from chasegraph.errors import ResourceLimitError
 from chasegraph.homs import isomorphic_mod_nulls
 from chasegraph.model import (
@@ -43,9 +48,18 @@ from chasegraph.model import (
     Rule,
     Substitution,
     term_key,
+    terms_of,
     variables_of,
 )
-from chasegraph.reduction import reduce_graph
+from chasegraph.reduction import (
+    ArStep,
+    CrStep,
+    PrefixInvariantReport,
+    ReductionTrace,
+    TrStep,
+    reduce_graph,
+)
+from chasegraph.treedecomp import TreeDecomposition
 
 
 def brute_force_homomorphisms(source, target: Instance) -> list[Substitution]:
@@ -222,3 +236,290 @@ def weak_classify_oracle(
         return ClassificationVerdict(cls, depth, HOLDS, tuple(witnesses))
     except ResourceLimitError as exc:
         return ClassificationVerdict(cls, depth, UNKNOWN, detail=str(exc))
+
+
+def node_terms_oracle(g, i: int) -> frozenset:
+    return terms_of(g.at[i]) | g.constants
+
+
+def nonconstant_terms_oracle(g, i: int) -> frozenset:
+    return terms_of(g.at[i]) - g.constants
+
+
+def parents_oracle(g, k: int) -> list[int]:
+    return sorted(i for (i, j) in g.arcs if j == k)
+
+
+def in_degree_oracle(g, k: int) -> int:
+    return sum(1 for (_, j) in g.arcs if j == k)
+
+
+def state_key_oracle(g) -> tuple:
+    return tuple(
+        (i, j, tuple(sorted(map(term_key, lbl))))
+        for (i, j), lbl in sorted(g.arcs.items())
+    )
+
+
+def node_frontier_oracle(g, node: int) -> frozenset:
+    if in_degree_oracle(g, node) == 0:
+        return frozenset()
+    r, trig = g.provenance[node]
+    return frozenset(trig.extension[v] for v in r.frontier) - g.constants
+
+
+def is_cycle_free_oracle(g) -> bool:
+    indegree: dict[int, int] = {}
+    for (_, j) in g.arcs:
+        indegree[j] = indegree.get(j, 0) + 1
+        if indegree[j] > 1:
+            return False
+    return True
+
+
+def apply_step_oracle(g, step):
+    """The step's arc rewrite, without re-checking side conditions."""
+    arcs = dict(g.arcs)
+    if isinstance(step, ArStep):
+        del arcs[(step.i, step.j)]
+    elif isinstance(step, TrStep):
+        arcs[(step.j, step.k)] = arcs[(step.j, step.k)] - {step.t}
+    else:
+        union = arcs.pop((step.i, step.k)) | arcs.pop((step.j, step.k))
+        arcs[(step.l, step.k)] = union
+    return g.with_arcs(arcs)
+
+
+def moves_oracle(g):
+    for (i, j), lbl in sorted(g.arcs.items()):
+        if not lbl:
+            yield ArStep(i, j)
+    for k in g.nodes:
+        parents = parents_oracle(g, k)
+        if len(parents) < 2:
+            continue
+        for i in parents:
+            for j in parents:
+                if i == j:
+                    continue
+                shared = g.arcs[(i, k)] & g.arcs[(j, k)]
+                for t in sorted(shared, key=term_key):
+                    yield TrStep(i, j, k, t)
+        for i, j in itertools.combinations(parents, 2):
+            union = g.arcs[(i, k)] | g.arcs[(j, k)]
+            for l in range(k):
+                if union <= node_terms_oracle(g, l):
+                    yield CrStep(i, j, k, l)
+
+
+def reduce_cr_only_oracle(g):
+    steps = []
+    graphs = [g]
+    while True:
+        points = sorted(k for k in g.nodes if in_degree_oracle(g, k) >= 2)
+        if not points:
+            break
+        k = points[0]
+        parents = parents_oracle(g, k)
+        chosen = None
+        for l in range(k):
+            for i, j in itertools.combinations(parents, 2):
+                if g.arcs[(i, k)] | g.arcs[(j, k)] <= node_terms_oracle(g, l):
+                    chosen = CrStep(i, j, k, l)
+                    break
+            if chosen:
+                break
+        if chosen is None:
+            return None
+        g = apply_step_oracle(g, chosen)
+        steps.append(chosen)
+        graphs.append(g)
+    return ReductionTrace(graphs[0], tuple(steps), tuple(graphs))
+
+
+def reduce_full_oracle(g, max_states: int = 10**5):
+    """(trace or None, number of states visited), by recursive search;
+    raises ResourceLimitError at the first state beyond ``max_states``."""
+    seen: set[tuple] = set()
+
+    def dfs(cur, steps, graphs):
+        if is_cycle_free_oracle(cur):
+            return ReductionTrace(graphs[0], tuple(steps), tuple(graphs))
+        key = state_key_oracle(cur)
+        if key in seen:
+            return None
+        seen.add(key)
+        if len(seen) > max_states:
+            raise ResourceLimitError(f"reduction search exceeded {max_states} states")
+        for step in moves_oracle(cur):
+            nxt = apply_step_oracle(cur, step)
+            steps.append(step)
+            graphs.append(nxt)
+            found = dfs(nxt, steps, graphs)
+            if found is not None:
+                return found
+            steps.pop()
+            graphs.pop()
+        return None
+
+    return dfs(g, [], [g]), len(seen)
+
+
+def check_prefix_invariants_oracle(trace) -> PrefixInvariantReport:
+    trace.replay()
+    failures = []
+    fr_ok = lbl_ok = wit_ok = True
+    check_witness = is_cycle_free_oracle(trace.final)
+    for p, g in enumerate(trace.graphs):
+        for n in g.nodes:
+            parents = parents_oracle(g, n)
+            if not parents:
+                continue
+            incoming = frozenset().union(*(g.arcs[(i, n)] for i in parents))
+            if node_frontier_oracle(g, n) != incoming:
+                fr_ok = False
+                failures.append(f"prefix {p}: frontier of X{n} != union of incoming labels")
+        for (i, j), lbl in g.arcs.items():
+            if not lbl <= node_terms_oracle(g, i):
+                lbl_ok = False
+                failures.append(f"prefix {p}: label of ({i},{j}) escapes terms(X{i})")
+        if check_witness:
+            for n in g.nodes:
+                if in_degree_oracle(g, n) == 0:
+                    continue
+                fr = node_frontier_oracle(g, n)
+                if not any(fr <= node_terms_oracle(g, m) for m in range(n)):
+                    wit_ok = False
+                    failures.append(f"prefix {p}: no earlier node covers the frontier of X{n}")
+    return PrefixInvariantReport(fr_ok, lbl_ok, wit_ok, tuple(failures))
+
+
+def check_decomposition_properties_oracle(g, final: Instance, kb: KnowledgeBase):
+    failures = []
+    covered = frozenset.union(*(node_terms_oracle(g, i) for i in g.nodes))
+    want = final.terms() | g.constants
+    term_cover = covered == want
+    if not term_cover:
+        failures.append(f"term cover: {covered ^ want} mismatched")
+
+    decorated = frozenset.union(*(frozenset(g.at[i]) for i in g.nodes))
+    atom_cover = final.atoms <= decorated
+    if not atom_cover:
+        failures.append(f"atom cover: missing {final.atoms - decorated}")
+
+    connected = True
+    undirected = {i: set() for i in g.nodes}
+    for (i, j) in g.arcs:
+        undirected[i].add(j)
+        undirected[j].add(i)
+    for x in sorted(final.nulls(), key=term_key):
+        members = {i for i in g.nodes if x in nonconstant_terms_oracle(g, i)}
+        if not members:
+            continue
+        start = min(members)
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nxt in undirected[stack.pop()]:
+                if nxt in members and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        if seen != members:
+            connected = False
+            failures.append(f"occurrence subgraph for {x} is disconnected")
+
+    consts = set(kb.database.constants())
+    for r in kb.rules:
+        consts |= r.constants()
+    head_sizes = [len({t for a in r.head for t in a.args}) for r in kb.rules]
+    bound = max([len(kb.database.terms())] + head_sizes) + len(consts)
+    oversized = [i for i in g.nodes if len(node_terms_oracle(g, i)) > bound]
+    bounded = not oversized
+    if oversized:
+        failures.append(f"nodes {oversized} exceed the term bound {bound}")
+    return DecompositionReport(term_cover, atom_cover, connected, bounded, bound, tuple(failures))
+
+
+def check_generative_paths_oracle(g) -> list[str]:
+    violations = []
+    all_nulls = frozenset.union(
+        frozenset(), *(nonconstant_terms_oracle(g, i) for i in g.nodes)
+    )
+    for x in sorted((t for t in all_nulls if isinstance(t, Null)), key=term_key):
+        members = [i for i in g.nodes if x in nonconstant_terms_oracle(g, i)]
+        gen = members[0]
+        for k in members:
+            allowed = {m for m in members if m <= k}
+            seen = {gen}
+            stack = [gen]
+            while stack:
+                cur = stack.pop()
+                for (i, j) in g.arcs:
+                    if i == cur and j in allowed and j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+            if k not in seen:
+                violations.append(f"no admissible directed path from X{gen} to X{k} for {x}")
+    return violations
+
+
+def extract_tree_decomposition_oracle(g) -> TreeDecomposition:
+    bags = tuple(node_terms_oracle(g, i) for i in g.nodes)
+    edges = {(min(i, j), max(i, j)) for (i, j) in g.arcs}
+    component: dict[int, int] = {}
+    for i in g.nodes:
+        if i in component:
+            continue
+        stack = [i]
+        component[i] = i
+        while stack:
+            cur = stack.pop()
+            for (a, b) in g.arcs:
+                for nxt in ((b,) if a == cur else (a,) if b == cur else ()):
+                    if nxt not in component:
+                        component[nxt] = i
+                        stack.append(nxt)
+    roots = sorted({component[i] for i in g.nodes})
+    for a, b in zip(roots, roots[1:]):
+        edges.add((a, b))
+    return TreeDecomposition(bags, frozenset(edges), roots[0])
+
+
+def _td_neighbors_oracle(td, i: int) -> list[int]:
+    out = [b for (a, b) in td.edges if a == i]
+    out += [a for (a, b) in td.edges if b == i]
+    return sorted(out)
+
+
+def validate_tree_decomposition_oracle(td, instance: Instance) -> bool:
+    n = len(td.bags)
+    if len(td.edges) != n - 1:
+        return False
+    seen = {td.root}
+    stack = [td.root]
+    while stack:
+        for nxt in _td_neighbors_oracle(td, stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    if len(seen) != n:
+        return False
+    union = frozenset().union(*td.bags)
+    if not instance.terms() <= union:
+        return False
+    for a in instance:
+        if not any(a.terms() <= bag for bag in td.bags):
+            return False
+    for t in sorted(union, key=term_key):
+        members = {i for i, bag in enumerate(td.bags) if t in bag}
+        start = min(members)
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nxt in _td_neighbors_oracle(td, stack.pop()):
+                if nxt in members and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        if seen != members:
+            return False
+    return True

@@ -155,3 +155,13 @@ def test_kb_constants_include_rule_constants():
     r = Rule("r", frozenset({Atom("p", (X,))}), frozenset({Atom("q", (X, Constant("c")))}))
     kb = KnowledgeBase(Instance({Atom("p", (A,))}), (r,))
     assert kb.constants == {A, Constant("c")}
+
+
+def test_kb_constants_are_computed_once_without_changing_identity():
+    r = Rule("r", frozenset({Atom("p", (X,))}), frozenset({Atom("q", (X, Constant("c")))}))
+    kb = KnowledgeBase(Instance({Atom("p", (A,))}), (r,))
+    twin = KnowledgeBase(Instance({Atom("p", (A,))}), (r,))
+    before = hash(kb)
+    assert kb.constants is kb.constants
+    assert kb == twin and hash(kb) == hash(twin) == before
+    assert kb != KnowledgeBase(Instance({Atom("p", (B,))}), (r,))

@@ -1,6 +1,21 @@
+import random
+import sys
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
 
-from chasegraph.derivgraph import build_derivation_graph
+from chasegraph.chase import Derivation, Trigger, enumerate_derivations
+from chasegraph.derivgraph import (
+    DerivationGraph,
+    NodeFacts,
+    build_derivation_graph,
+    check_decomposition_properties,
+    check_generative_paths,
+    node_frontier,
+    x_generative_node,
+)
+from chasegraph.docparse import parse_document
 from chasegraph.errors import ResourceLimitError, SideConditionViolatedError
 from chasegraph.reduction import (
     ArStep,
@@ -14,7 +29,39 @@ from chasegraph.reduction import (
     is_cycle_free,
     reduce_graph,
 )
-from conftest import chain_nulls
+from chasegraph.model import (
+    Atom,
+    Constant,
+    Instance,
+    KnowledgeBase,
+    Null,
+    Rule,
+    Substitution,
+    Variable,
+)
+from chasegraph.randkb import random_kb
+from chasegraph.treedecomp import (
+    TreeDecomposition,
+    extract_tree_decomposition,
+    validate_tree_decomposition,
+)
+from conftest import X, Y, chain_nulls
+from oracles import (
+    check_decomposition_properties_oracle,
+    check_generative_paths_oracle,
+    check_prefix_invariants_oracle,
+    extract_tree_decomposition_oracle,
+    node_frontier_oracle,
+    node_terms_oracle,
+    nonconstant_terms_oracle,
+    parents_oracle,
+    reduce_cr_only_oracle,
+    reduce_full_oracle,
+    state_key_oracle,
+    validate_tree_decomposition_oracle,
+)
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 @pytest.fixture
@@ -203,3 +250,159 @@ def test_replay_detects_tampering(golden):
     broken = ReductionTrace(g, trace.steps, (g,) + trace.graphs[:-1])
     with pytest.raises(ValueError):
         broken.replay()
+
+
+def test_full_reduction_deeper_than_the_recursion_limit():
+    # X3 reads two copies of an n-ary atom, one made by X1 and one by X2, so
+    # both arcs into X3 carry all n nulls; the first reduction found drops
+    # them from (X2, X3) one term at a time, a path of n + 1 steps
+    n = sys.getrecursionlimit() + 1
+    ys = tuple(Variable(f"Y{i}") for i in range(n))
+    x = Variable("X")
+    mk = Rule("mk", frozenset({Atom("p", (x,))}), frozenset({Atom("a", ys)}))
+    cp = Rule("cp", frozenset({Atom("a", ys)}), frozenset({Atom("b", ys)}))
+    rd = Rule("rd", frozenset({Atom("a", ys), Atom("b", ys)}), frozenset({Atom("c", ys)}))
+    kb = KnowledgeBase(Instance({Atom("p", (Constant("a"),))}), (mk, cp, rd))
+    d = Derivation(kb.database).extend(mk, Substitution({x: Constant("a")}))
+    nulls = d.steps[0].trigger.extension
+    d = d.extend(cp, Substitution({y: nulls[y] for y in ys}))
+    d = d.extend(rd, Substitution({y: nulls[y] for y in ys}))
+    trace = reduce_graph(build_derivation_graph(d, kb), "full")
+    assert trace is not None and trace.complete
+    assert len(trace.steps) == n + 1 > sys.getrecursionlimit()
+    assert trace.steps[-1] == ArStep(2, 3)
+
+
+@lru_cache(maxsize=None)
+def _parity_derivations():
+    """(kb, derivation) for every derivation of join d5, of chain d6 and of
+    30 seeded random KBs at depth 3."""
+    cases = []
+    for name, depth in (("join", 5), ("chain", 6)):
+        kb = parse_document((SAMPLES / f"{name}.rules").read_text()).knowledge_base()
+        cases += [(kb, d) for d in enumerate_derivations(kb.database, kb.rules, depth)]
+    rng, kbs = random.Random(4013), 0
+    while kbs < 30:
+        kb = random_kb(rng)
+        try:
+            ds = list(enumerate_derivations(kb.database, kb.rules, 3, max_derivations=500))
+        except ResourceLimitError:
+            continue
+        cases += [(kb, d) for d in ds]
+        kbs += 1
+    return tuple(cases)
+
+
+def _same_trace(new, old):
+    if old is None:
+        return new is None
+    return (
+        new is not None
+        and new.steps == old.steps
+        and [g.arcs for g in new.graphs] == [g.arcs for g in old.graphs]
+    )
+
+
+def _reductions_match_the_oracles(g):
+    """(cr-only trace, full trace, states the full search visits), after
+    checking both searches against the oracles."""
+    cr_only = reduce_graph(g, "cr-only")
+    assert _same_trace(cr_only, reduce_cr_only_oracle(g))
+    old, states = reduce_full_oracle(g)
+    # the search visits exactly as many states as the oracle: it fits a
+    # budget of that many and trips on one fewer
+    full = reduce_graph(g, "full", max_states=states)
+    assert _same_trace(full, old)
+    if states:
+        with pytest.raises(ResourceLimitError):
+            reduce_graph(g, "full", max_states=states - 1)
+    return cr_only, full, states
+
+
+def _checks_match_the_oracles(g, traces, final, kb):
+    traces = [t for t in traces if t is not None]
+    for t in traces:
+        assert check_prefix_invariants(t) == check_prefix_invariants_oracle(t)
+    for h in [g] + [t.final for t in traces]:
+        assert [node_frontier(h, n) for n in h.nodes] == \
+            [node_frontier_oracle(h, n) for n in h.nodes]
+        assert check_decomposition_properties(h, final, kb) == \
+            check_decomposition_properties_oracle(h, final, kb)
+        assert check_generative_paths(h) == check_generative_paths_oracle(h)
+
+
+def test_reductions_and_graph_checks_match_the_oracles():
+    for kb, d in _parity_derivations():
+        g = build_derivation_graph(d, kb)
+        cr_only, full, _ = _reductions_match_the_oracles(g)
+        _checks_match_the_oracles(g, (cr_only, full), d.final, kb)
+        for n in g.nodes:
+            assert g.node_terms(n) == node_terms_oracle(g, n)
+            assert g.parents(n) == tuple(parents_oracle(g, n))
+        for x in d.final.nulls():
+            assert x_generative_node(g, x) == \
+                next(i for i in g.nodes if x in nonconstant_terms_oracle(g, i))
+        for t in (cr_only, full):
+            if t is None:
+                continue
+            td = extract_tree_decomposition(t.final)
+            assert td == extract_tree_decomposition_oracle(t.final)
+            shuffled = TreeDecomposition(td.bags[::-1], td.edges, td.root)
+            cyclic = TreeDecomposition(td.bags, td.edges | {(0, len(td.bags) - 1)}, td.root)
+            for cand in (td, shuffled, cyclic):
+                assert validate_tree_decomposition(cand, d.final) == \
+                    validate_tree_decomposition_oracle(cand, d.final)
+
+
+def test_state_keys_agree_with_the_sorted_tuple_keys():
+    equal_pairs = 0
+    for kb, d in _parity_derivations()[::7]:
+        pool = [build_derivation_graph(d, kb)]
+        for strategy in ("cr-only", "full"):
+            trace = reduce_graph(pool[0], strategy)
+            pool += list(trace.graphs) if trace else []
+        pool.append(build_derivation_graph(d, kb))
+        for a in pool:
+            for b in pool:
+                same = state_key_oracle(a) == state_key_oracle(b)
+                assert (a.state_key() == b.state_key()) == same
+                equal_pairs += same and a is not b
+    assert equal_pairs > 0
+
+
+def _random_graph(rng: random.Random) -> DerivationGraph:
+    """A small graph with random decorations, frontiers, arcs and labels over
+    four nulls; the labels need not respect the decorations, so the checks
+    meet failures and the full search meets dead ends it must backtrack from."""
+    nulls = [Null(900_000 + i) for i in range(4)]
+    fr_vars = [Variable(f"F{i}") for i in range(4)]
+    n = rng.randint(3, 5)
+    at = tuple(
+        frozenset(Atom("p", (t,)) for t in rng.sample(nulls, rng.randint(0, 3)))
+        for _ in range(n)
+    )
+    provenance = [None]
+    for k in range(1, n):
+        picked = rng.sample(range(4), rng.randint(1, 2))
+        vs = tuple(fr_vars[i] for i in picked)
+        r = Rule(f"r{k}", frozenset({Atom("b", vs)}), frozenset({Atom("h", vs)}))
+        sub = Substitution({v: rng.choice(nulls) for v in vs})
+        provenance.append((r, Trigger(r.rid, sub, sub)))
+    arcs = {
+        (i, j): frozenset(rng.sample(nulls, rng.randint(0, 2)))
+        for j in range(n) for i in range(j) if rng.random() < 0.6
+    }
+    return DerivationGraph(NodeFacts.of(at, frozenset(), tuple(provenance)), arcs)
+
+
+def test_reductions_and_checks_match_the_oracles_on_random_graphs():
+    rng = random.Random(4014)
+    kb = KnowledgeBase(Instance(), (Rule("w", frozenset({Atom("q", (X,))}),
+                                         frozenset({Atom("q", (X, Y))})),))
+    backtracked = 0
+    for _ in range(300):
+        g = _random_graph(rng)
+        cr_only, full, states = _reductions_match_the_oracles(g)
+        _checks_match_the_oracles(g, (cr_only, full), Instance(frozenset().union(*g.at)), kb)
+        backtracked += full is not None and states > len(full.steps)
+    assert backtracked > 0
