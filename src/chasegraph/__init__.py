@@ -46,7 +46,6 @@ from .derivgraph import (
 )
 from .docparse import RuleDocument, parse_document, print_document
 from .homs import (
-    HomSearchProblem,
     find_homomorphisms,
     hom_equivalent,
     isomorphic_mod_nulls,
@@ -62,9 +61,7 @@ from .model import (
     Rule,
     Substitution,
     Variable,
-    apply_substitution,
     fresh_null,
-    frontier,
     frontier_atoms,
 )
 from .reduction import (

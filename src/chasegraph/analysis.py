@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .chase import Derivation, DerivationStep, apply_rule, enumerate_derivations, triggers
+from .chase import Derivation, apply_rule, enumerate_derivations, triggers
+from .derivgraph import reachable
 from .errors import NotPermutableError
 from .homs import canonical_key, find_homomorphisms
 from .model import (
@@ -68,8 +69,8 @@ class RuleDependencyGraph:
         for v in self.vertices:
             if v in assigned:
                 continue
-            reach_fwd = _reachable(v, succ)
-            reach_bwd = _reachable(v, pred)
+            reach_fwd = reachable(succ, v)
+            reach_bwd = reachable(pred, v)
             comp = (reach_fwd & reach_bwd) | {v}
             comp -= assigned
             sccs.append(comp)
@@ -89,17 +90,6 @@ class RuleDependencyGraph:
             return layer_of_comp[ci]
 
         return {v: comp_layer(comp_of[v]) for v in self.vertices}
-
-
-def _reachable(start: str, adj: dict[str, set[str]]) -> set[str]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
 
 
 def _rename_apart(r: Rule, taken: frozenset[Variable]) -> Rule:
@@ -262,30 +252,23 @@ def permute_adjacent(d: Derivation, i: int) -> Derivation:
     Permutability is checked at the trigger level: step i+1's body match
     must already hold in I_{i-1} (weaker than rule-level independence, and
     exactly what the swap needs), and step i+1's head image may not
-    re-derive atoms step i introduced.  Without the second condition the
-    swapped intermediate I_{i-1} + (I_{i+1} - I_i) would silently drop the
-    re-derived atoms and the steps' introduced-atom sets would no longer be
-    a permutation, which can break greediness.
+    re-derive atoms step i introduced.  Under these two conditions each
+    step adds the same atoms in either order, so the steps move unchanged.
+    Without the second one, step i+1 would add the re-derived atoms once
+    moved first and step i would add fewer, which can break greediness.
     """
     if not 1 <= i < len(d):
         raise ValueError(f"step index {i} out of range for length {len(d)}")
-    earlier = d.instance_at(i - 1)
-    mid = d.instance_at(i)
-    later = d.instance_at(i + 1)
     step_a, step_b = d.steps[i - 1], d.steps[i]
-    if not step_b.trigger.hom.apply(step_b.rule.body) <= earlier.atoms:
+    if not step_b.trigger.hom.apply(step_b.rule.body) <= d.instance_at(i - 1).atoms:
         raise NotPermutableError(
             f"step {i + 1} reads atoms produced by step {i}; cannot swap"
         )
-    head_image = step_b.trigger.extension.apply(step_b.rule.head)
-    if head_image & (mid - earlier):
+    if step_b.trigger.extension.apply(step_b.rule.head) & step_a.new_atoms:
         raise NotPermutableError(
             f"step {i + 1} re-derives atoms produced by step {i}; cannot swap"
         )
-    swapped_first = DerivationStep(step_b.rule, step_b.trigger, earlier | (later - mid))
-    swapped_second = DerivationStep(step_a.rule, step_a.trigger, later)
-    steps = d.steps[: i - 1] + (swapped_first, swapped_second) + d.steps[i + 1:]
-    return Derivation(d.initial, steps)
+    return Derivation(d.initial, d.steps[: i - 1] + (step_b, step_a) + d.steps[i + 1:])
 
 
 def normalize_by_grd(d: Derivation, grd: RuleDependencyGraph) -> Derivation:
@@ -318,13 +301,13 @@ def normalize_by_grd(d: Derivation, grd: RuleDependencyGraph) -> Derivation:
 # ---------------------------------------------------------------------------
 
 def group_derivations(
-    kb: KnowledgeBase, max_len: int, dedup: str = "mod-nulls", shortest_only: bool = False
+    kb: KnowledgeBase, max_len: int, shortest_only: bool = False
 ) -> dict[tuple, tuple[Instance, list[Derivation]]]:
     """Derivations up to max_len by the canonical key of their final instance:
     key -> (first final instance seen, members in enumeration order).  With
     shortest_only, a group keeps only its members of the least length seen."""
     groups: dict[tuple, tuple[Instance, list[Derivation]]] = {}
-    for d in enumerate_derivations(kb.database, kb.rules, max_len, dedup=dedup):
+    for d in enumerate_derivations(kb.database, kb.rules, max_len):
         _, members = groups.setdefault(canonical_key(d.final), (d.final, []))
         if shortest_only and members and len(d) < len(members[0]):
             members.clear()
@@ -341,10 +324,7 @@ def first_good(group: list[Derivation], max_len: int, check):
 
 
 def find_greedy_rederivation(
-    kb: KnowledgeBase,
-    target: Instance,
-    max_len: int,
-    dedup: str = "mod-nulls",
+    kb: KnowledgeBase, target: Instance, max_len: int
 ) -> Derivation | None:
     """Shortest greedy derivation of ``target`` (up to null renaming), if any:
     the first in (length, enumeration) order of one enumeration to max_len.
@@ -352,7 +332,7 @@ def find_greedy_rederivation(
     the canonical key of a final instance as large as the target, trips its budget.
     """
     key = canonical_key(target)
-    group = [d for d in enumerate_derivations(kb.database, kb.rules, max_len, dedup=dedup)
+    group = [d for d in enumerate_derivations(kb.database, kb.rules, max_len)
              if len(d.final) == len(target) and canonical_key(d.final) == key]
     found = first_good(group, max_len, lambda d: is_greedy(d, kb).greedy)
     return found[0] if found else None

@@ -3,8 +3,9 @@
 A trigger is a homomorphism from a rule body into the current instance.
 Applying it extends the instance with the head image, where each
 existential variable is sent to a fresh null.  Derivations record the whole
-history (trigger, extension, resulting instance per step) so that
-greediness analysis and derivation graphs can be computed after the fact.
+history (trigger, extension and added atoms per step) so that greediness
+analysis and derivation graphs can be computed after the fact; each
+intermediate instance is the initial one plus the atoms of earlier steps.
 
 The one-step operator applies *all* triggers of *all* rules in parallel
 with pairwise-distinct fresh nulls; iterating it k times gives the k-level
@@ -19,6 +20,7 @@ that atom.  Merging by canonical key keeps the order of a full recompute.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -41,7 +43,7 @@ DEFAULT_MAX_ATOMS = 10**5
 DEFAULT_MAX_DERIVATIONS = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trigger:
     """A rule body match plus its recorded head extension.
 
@@ -54,16 +56,20 @@ class Trigger:
     extension: Substitution
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivationStep:
+    """One rule application and the atoms it added (its head image minus
+    the instance it was applied to)."""
+
     rule: Rule
     trigger: Trigger
-    result: Instance
+    new_atoms: frozenset[Atom]
 
 
 @dataclass(frozen=True)
 class Derivation:
-    """A sequence I0, (rule_1, h_1, I1), ..., (rule_n, h_n, In)."""
+    """A sequence I0, (rule_1, h_1, I1), ..., (rule_n, h_n, In), stored as I0
+    and each step's added atoms: I_i is I0 plus the atoms of steps 1..i."""
 
     initial: Instance
     steps: tuple[DerivationStep, ...] = ()
@@ -71,30 +77,31 @@ class Derivation:
     def __len__(self) -> int:
         return len(self.steps)
 
-    @property
+    @cached_property
     def final(self) -> Instance:
-        return self.steps[-1].result if self.steps else self.initial
+        return self.instance_at(len(self.steps))
 
     def instance_at(self, i: int) -> Instance:
         """The instance after step i (i = 0 gives the initial instance)."""
-        return self.initial if i == 0 else self.steps[i - 1].result
+        if i == 0:
+            return self.initial
+        return Instance._of(self.initial.atoms.union(*(s.new_atoms for s in self.steps[:i])))
 
     def new_atoms(self, i: int) -> frozenset[Atom]:
         """Atoms introduced by step i (1-based)."""
-        return self.steps[i - 1].result - self.instance_at(i - 1)
+        return self.steps[i - 1].new_atoms
 
     def extend(self, r: Rule, hom: Substitution) -> "Derivation":
-        prev = self.final
-        result, trig = apply_rule(prev, r, hom)
-        return Derivation(self.initial, self.steps + (DerivationStep(r, trig, result),))
+        return Derivation(self.initial,
+                          self.steps + (_step(self.final, r, hom.restrict(r.body_vars)),))
 
     def rule_ids(self) -> tuple[str, ...]:
         return tuple(s.rule.rid for s in self.steps)
 
     def validate(self) -> None:
         """Raise ValueError unless every step invariant holds."""
+        prev = self.initial
         for i, step in enumerate(self.steps, start=1):
-            prev = self.instance_at(i - 1)
             r = step.rule
             hom, ext = step.trigger.hom, step.trigger.extension
             if step.trigger.rule_id != r.rid:
@@ -110,8 +117,9 @@ class Derivation:
                 raise ValueError(f"step {i}: existential images are not distinct nulls")
             if any(n in prev.terms() for n in fresh):
                 raise ValueError(f"step {i}: fresh null already occurs earlier")
-            if step.result != prev | ext.apply(r.head):
-                raise ValueError(f"step {i}: result is not I{i-1} plus the head image")
+            if step.new_atoms != ext.apply(r.head) - prev.atoms:
+                raise ValueError(f"step {i}: new atoms are not the head image minus I{i-1}")
+            prev = Instance._of(prev.atoms | step.new_atoms)
 
 
 def triggers(instance: Instance, r: Rule) -> list[Substitution]:
@@ -125,8 +133,8 @@ def apply_rule(instance: Instance, r: Rule, hom: Substitution) -> tuple[Instance
     The extension sends each existential variable to a fresh null; the
     returned trigger records it so the step can be replayed or audited.
     """
-    step, _ = _step(instance, r, hom.restrict(r.body_vars))
-    return step.result, step.trigger
+    step = _step(instance, r, hom.restrict(r.body_vars))
+    return Instance._of(instance.atoms | step.new_atoms), step.trigger
 
 
 def _extension(r: Rule, hom: Substitution) -> Substitution:
@@ -134,9 +142,9 @@ def _extension(r: Rule, hom: Substitution) -> Substitution:
     return hom.extend({z: fresh_null() for z in sorted(r.existentials, key=term_key)})
 
 
-def _step(prev: Instance, r: Rule, hom: Substitution) -> tuple[DerivationStep, frozenset[Atom]]:
-    """The step applying body match ``hom`` to prev, and its new atoms.  Checks
-    cost O(|body| + |head|), so the result is built without rescanning prev."""
+def _step(prev: Instance, r: Rule, hom: Substitution) -> DerivationStep:
+    """The step applying body match ``hom`` to prev.  Checks cost
+    O(|body| + |head|), so prev is never rescanned."""
     if not hom.apply(r.body) <= prev.atoms:
         raise NotTriggeredError(f"{r.rid}: homomorphism {hom} is not a trigger")
     ext = _extension(r, hom)
@@ -144,8 +152,7 @@ def _step(prev: Instance, r: Rule, hom: Substitution) -> tuple[DerivationStep, f
     head = frozenset(Atom(a.pred, tuple(map(image, a.args, a.args))) for a in r.head)
     if variables_of(head):
         raise ValueError(f"{r.rid}: head image {set(head)} contains variables")
-    delta = head - prev.atoms
-    return DerivationStep(r, Trigger(r.rid, hom, ext), Instance._of(prev.atoms | delta)), delta
+    return DerivationStep(r, Trigger(r.rid, hom, ext), head - prev.atoms)
 
 
 def one_step(instance: Instance, rules: Sequence[Rule]) -> Instance:
@@ -269,6 +276,6 @@ def enumerate_derivations(
             stack.pop()
         else:
             d, index, lists, _ = stack[-1]
-            step, delta = _step(d.final, *nxt)
-            if delta or not skip_redundant:
-                node = (Derivation(d.initial, d.steps + (step,)), delta, index, lists)
+            step = _step(d.final, *nxt)
+            if step.new_atoms or not skip_redundant:
+                node = (Derivation(d.initial, d.steps + (step,)), step.new_atoms, index, lists)

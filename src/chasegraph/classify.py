@@ -68,7 +68,6 @@ def classify(
     kb: KnowledgeBase,
     cls: str,
     depth: int,
-    dedup: str = "mod-nulls",
     rederivation_bound: str = "shortest",
 ) -> ClassificationVerdict:
     """Bounded membership verdict for one class.
@@ -88,7 +87,7 @@ def classify(
         raise ValueError(f"unknown rederivation bound {rederivation_bound!r}")
     try:
         if cls == "gbts":
-            for d in enumerate_derivations(kb.database, kb.rules, depth, dedup=dedup):
+            for d in enumerate_derivations(kb.database, kb.rules, depth):
                 report = is_greedy(d, kb)
                 if not report.greedy:
                     cert = Refutation(d, "non-greedy derivation", greediness=report)
@@ -99,7 +98,7 @@ def classify(
             return ClassificationVerdict(cls, depth, HOLDS)
 
         if cls == "cdgs":
-            for d in enumerate_derivations(kb.database, kb.rules, depth, dedup=dedup):
+            for d in enumerate_derivations(kb.database, kb.rules, depth):
                 if reduce_graph(build_derivation_graph(d, kb), "full") is None:
                     cert = Refutation(d, "derivation graph admits no complete reduction")
                     return ClassificationVerdict(cls, depth, REFUTED, cert)
@@ -109,7 +108,7 @@ def classify(
                  else lambda d: reduce_graph(build_derivation_graph(d, kb), "full"))
 
         witnesses: list[GroupWitness] = []
-        groups = group_derivations(kb, depth, dedup, rederivation_bound == "shortest")
+        groups = group_derivations(kb, depth, rederivation_bound == "shortest")
         for target, members in groups.values():
             shortest = min(members, key=len)
             bound = len(shortest) if rederivation_bound == "shortest" else depth
@@ -137,14 +136,14 @@ class SubsumptionReport:
         return all(good for _, good in self.implications)
 
 
-def subsumption_check(kb: KnowledgeBase, depth: int, dedup: str = "mod-nulls") -> SubsumptionReport:
+def subsumption_check(kb: KnowledgeBase, depth: int) -> SubsumptionReport:
     """Cross-validate the four verdicts on one enumeration.
 
     The universal class must imply its weak variant, and the greediness
     pipeline must agree with the reduction pipeline outright; a failed
     implication is a bug in exactly one of the two pipelines.
     """
-    v = {cls: classify(kb, cls, depth, dedup=dedup) for cls in CLASSES}
+    v = {cls: classify(kb, cls, depth) for cls in CLASSES}
     implications = (
         ("gbts-holds implies wgbts-holds", (not v["gbts"].holds) or v["wgbts"].holds),
         ("cdgs-holds implies wcdgs-holds", (not v["cdgs"].holds) or v["wcdgs"].holds),

@@ -90,18 +90,7 @@ def cmd_greedy_check(args) -> int:
     else:
         targets = [_select_derivation(kb, args.derivation, args.max_len, args.dedup)]
         indices = [args.derivation]
-    all_greedy = True
-    reports = []
-    for i, d in zip(indices, targets):
-        report = is_greedy(d, kb)
-        reports.append((i, d, report))
-        all_greedy &= report.greedy
-        verdict = "greedy" if report.greedy else "non-greedy"
-        detail = ""
-        if not report.greedy:
-            step, image = report.violations[0]
-            detail = f" (violation at step {step}: frontier image {sorted(map(str, image))})"
-        print(f"{_derivation_line(i, d)} -> {verdict}{detail}")
+    reports = [(i, d, is_greedy(d, kb)) for i, d in zip(indices, targets)]
     if args.json:
         sys.stdout.write(render.dumps({
             "schema": render.SCHEMA_VERSION,
@@ -110,7 +99,15 @@ def cmd_greedy_check(args) -> int:
                 for i, d, rep in reports
             ],
         }))
-    return 0 if all_greedy else 1
+    else:
+        for i, d, report in reports:
+            verdict = "greedy" if report.greedy else "non-greedy"
+            detail = ""
+            if not report.greedy:
+                step, image = report.violations[0]
+                detail = f" (violation at step {step}: frontier image {sorted(map(str, image))})"
+            print(f"{_derivation_line(i, d)} -> {verdict}{detail}")
+    return 0 if all(rep.greedy for _, _, rep in reports) else 1
 
 
 def cmd_grd(args) -> int:
@@ -229,8 +226,7 @@ def cmd_selfcheck(args) -> int:
         kb = random_kb(rng)
         try:
             derivations = list(enumerate_derivations(
-                kb.database, kb.rules, args.max_len,
-                dedup="mod-nulls", max_derivations=args.budget,
+                kb.database, kb.rules, args.max_len, max_derivations=args.budget,
             ))
         except ResourceLimitError:
             skipped += 1

@@ -183,7 +183,7 @@ def build_derivation_graph(d: Derivation, kb: KnowledgeBase) -> DerivationGraph:
         provenance.append((step.rule, step.trigger))
         hom = step.trigger.hom
         fr = step.rule.frontier
-        for fa in sorted(frontier_atoms(step.rule, "body"), key=str):
+        for fa in sorted(frontier_atoms(step.rule), key=str):
             image = hom.apply_atom(fa)
             i = owner[image]
             contribution = frozenset(hom[v] for v in fa.terms() & fr) - constants

@@ -11,7 +11,7 @@ derivation identifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ResourceLimitError
 from .model import (
@@ -23,24 +23,10 @@ from .model import (
     Substitution,
     Term,
     atom_key,
-    nulls_of,
     term_key,
 )
 
-MAX_CANON_NODES = 10_000  # search nodes per canonical_key call, read at call time
-
-
-@dataclass(frozen=True)
-class HomSearchProblem:
-    source: frozenset[Atom]
-    target: Instance
-    seed: Substitution
-
-    def __post_init__(self):
-        src_terms = {t for a in self.source for t in a.args}
-        for k in self.seed.mapping:
-            if k not in src_terms:
-                raise ValueError(f"seed binds {k}, which does not occur in the source")
+MAX_CANON_NODES = 10_000  # search nodes per labelled instance, read at call time
 
 
 def _index_by_pred(atoms: frozenset[Atom], base: dict | None = None) -> dict[tuple, tuple]:
@@ -138,54 +124,6 @@ def hom_equivalent(a: Instance, b: Instance) -> bool:
     return hom_exists(a.atoms, b) and hom_exists(b.atoms, a)
 
 
-def isomorphic_mod_nulls(a: Instance, b: Instance) -> Substitution | None:
-    """A bijective null renaming turning ``a`` into exactly ``b``, if any.
-
-    Constants stay fixed, so two instances can only be isomorphic when they
-    agree on their null-free atoms and share the same atom count.
-    """
-    if len(a) != len(b):
-        return None
-    a_nulls = sorted(nulls_of(a.atoms), key=lambda n: n.ordinal)
-    b_nulls = nulls_of(b.atoms)
-    if len(a_nulls) != len(b_nulls):
-        return None
-    ground_a = frozenset(x for x in a if not nulls_of([x]))
-    ground_b = frozenset(x for x in b if not nulls_of([x]))
-    if ground_a != ground_b:
-        return None
-
-    b_atoms = b.atoms
-
-    def solve(i: int, binding: dict[Term, Term], used: set[Null]) -> dict[Term, Term] | None:
-        if i == len(a_nulls):
-            image = {Substitution(binding).apply_atom(x) for x in a}
-            return binding if image == b_atoms else None
-        n = a_nulls[i]
-        for m in sorted(b_nulls - used, key=lambda x: x.ordinal):
-            binding[n] = m
-            used.add(m)
-            # prune: every atom fully renamed so far must exist in b
-            ok = True
-            sub = Substitution(binding)
-            for x in a:
-                xs = nulls_of([x])
-                if xs and xs <= set(binding):
-                    if sub.apply_atom(x) not in b_atoms:
-                        ok = False
-                        break
-            if ok:
-                found = solve(i + 1, binding, used)
-                if found is not None:
-                    return found
-            del binding[n]
-            used.discard(m)
-        return None
-
-    found = solve(0, {}, set())
-    return Substitution(found) if found is not None else None
-
-
 def canonical_key(inst: Instance) -> tuple:
     """A key equal for two instances iff a bijective null renaming maps one
     onto the other: (sorted ground atoms, sorted null-connected component forms).
@@ -199,6 +137,33 @@ def canonical_key(inst: Instance) -> tuple:
     sorted data is iterated, so the key is hash-seed independent.  Over
     ``MAX_CANON_NODES`` search nodes in all raises ResourceLimitError.
     """
+    ground, components = _canonical_forms(inst)
+    return tuple(ground), tuple(sorted(form for form, _ in components))
+
+
+def isomorphic_mod_nulls(a: Instance, b: Instance) -> Substitution | None:
+    """A bijective null renaming turning ``a`` into exactly ``b``, if any.
+
+    Equal canonical keys pair each component of ``a`` with one of ``b`` of
+    the same form; sending each null to the null of the partner with the
+    same label in the form's leaf maps the component onto its partner.
+    Labelling each instance runs under ``MAX_CANON_NODES`` search nodes.
+    """
+    (ground_a, comps_a), (ground_b, comps_b) = _canonical_forms(a), _canonical_forms(b)
+    comps_a.sort(key=itemgetter(0))
+    comps_b.sort(key=itemgetter(0))
+    if ground_a != ground_b or [f for f, _ in comps_a] != [f for f, _ in comps_b]:
+        return None
+    renaming: dict[Term, Term] = {}
+    for (_, label_a), (_, label_b) in zip(comps_a, comps_b):
+        by_label = {c: m for m, c in label_b.items()}
+        renaming.update((n, by_label[c]) for n, c in label_a.items())
+    return Substitution(renaming)
+
+
+def _canonical_forms(inst: Instance) -> tuple[list[tuple], list[tuple[tuple, dict[Null, int]]]]:
+    """The sorted ground atom keys and, per null-connected component, its
+    form with the discrete labelling of the nulls that yields it."""
     budget, nodes = MAX_CANON_NODES, 0
     ground, components = [], []
     for a in inst.sorted_atoms():
@@ -210,7 +175,7 @@ def canonical_key(inst: Instance) -> tuple:
         components = [c for c in components if not c[0] & ns]
         components.append((ns.union(*(c[0] for c in hit)), [a] + [x for c in hit for x in c[1]]))
 
-    def form(null_set: set[Null], comp: list[Atom]) -> tuple:
+    def form(null_set: set[Null], comp: list[Atom]) -> tuple[tuple, dict[Null, int]]:
         nonlocal nodes
         nulls = sorted(null_set, key=term_key)
         occurrences = {n: [(i, a) for a in comp for i, t in enumerate(a.args) if t == n]
@@ -262,7 +227,8 @@ def canonical_key(inst: Instance) -> tuple:
                         key=lambda ms: colour[ms[0]], default=None)
             if split is None:
                 leaf = tuple(sorted(labelled(a, colour) for a in comp))
-                best = leaf if best is None else min(best, leaf)
+                if best is None or leaf < best[0]:
+                    best = (leaf, colour)
                 continue
             tried: list[tuple[Null, dict]] = []
             for v in split:
@@ -272,4 +238,4 @@ def canonical_key(inst: Instance) -> tuple:
                     stack.append(cv)
         return best
 
-    return tuple(ground), tuple(sorted(form(*c) for c in components))
+    return ground, [form(*c) for c in components]

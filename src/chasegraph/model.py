@@ -249,11 +249,6 @@ class Substitution:
         return frozenset(self.apply_atom(a) for a in atoms)
 
 
-def apply_substitution(atoms: Iterable[Atom], s: Substitution) -> frozenset[Atom]:
-    """Componentwise image of an atom set; may collapse atoms (set semantics)."""
-    return s.apply(atoms)
-
-
 @dataclass(frozen=True)
 class Rule:
     """An existential rule body -> head.
@@ -304,28 +299,11 @@ def rule(rid: str, body: Iterable[Atom], head: Iterable[Atom]) -> Rule:
     return Rule(rid, frozenset(body), frozenset(head))
 
 
-def frontier(r: Rule) -> frozenset[Variable]:
-    """Variables the body and head of the rule have in common."""
-    return r.frontier
-
-
-def frontier_atoms(r: Rule, side: str = "body") -> frozenset[Atom]:
-    """Atoms of the rule containing at least one frontier variable.
-
-    ``side`` selects which conjunction to draw from; the derivation-graph
-    builder only ever needs the body side, since head atoms do not exist yet
-    when a step's incoming arcs are determined.
-    """
-    if side == "body":
-        pool: frozenset[Atom] = r.body
-    elif side == "head":
-        pool = r.head
-    elif side == "both":
-        pool = r.body | r.head
-    else:
-        raise ValueError(f"unknown side {side!r}")
+def frontier_atoms(r: Rule) -> frozenset[Atom]:
+    """Body atoms of the rule containing at least one frontier variable: the
+    atoms a step's incoming arcs in a derivation graph come from."""
     fr = r.frontier
-    return frozenset(a for a in pool if any(t in fr for t in a.args))
+    return frozenset(a for a in r.body if any(t in fr for t in a.args))
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,7 @@ def rename_derivation_nulls(d: Derivation, mapping: dict[Null, Null]) -> Derivat
             st.rule,
             Trigger(st.trigger.rule_id, rename_sub(st.trigger.hom),
                     rename_sub(st.trigger.extension)),
-            rename_inst(st.result),
+            ren.apply(st.new_atoms),
         )
         for st in d.steps
     )

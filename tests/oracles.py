@@ -6,9 +6,13 @@ the two rules' body predicates on a small constant universe (up to
 renaming of the fresh constants) and checks the new-trigger condition on
 each.  Both are only usable at desk scale.
 
+The isomorphism oracle is the earlier ``isomorphic_mod_nulls``: plain
+backtracking over the nulls of one instance in ordinal order, pruning when
+an atom whose nulls are all bound has no image in the other instance.
+
 The weak-class oracle is the classifier's earlier engine for wgbts and
 wcdgs: instances are bucketed by a cheap shape key and grouped by pairwise
-``isomorphic_mod_nulls``, and each group's good derivation is searched by
+``isomorphic_oracle``, and each group's good derivation is searched by
 iterative deepening, one fresh enumeration per length.
 
 The enumeration oracle is the chase's earlier derivation enumerator: at each
@@ -38,7 +42,6 @@ from chasegraph.classify import (
 )
 from chasegraph.derivgraph import DecompositionReport, build_derivation_graph
 from chasegraph.errors import ResourceLimitError
-from chasegraph.homs import isomorphic_mod_nulls
 from chasegraph.model import (
     Atom,
     Constant,
@@ -47,6 +50,8 @@ from chasegraph.model import (
     Null,
     Rule,
     Substitution,
+    Term,
+    nulls_of,
     term_key,
     terms_of,
     variables_of,
@@ -160,6 +165,50 @@ def enumerate_oracle(db: Instance, rules, max_len: int, dedup: str = "none",
     yield from walk(Derivation(db))
 
 
+def isomorphic_oracle(a: Instance, b: Instance) -> Substitution | None:
+    """A bijective null renaming turning ``a`` into exactly ``b``, if any."""
+    if len(a) != len(b):
+        return None
+    a_nulls = sorted(nulls_of(a.atoms), key=lambda n: n.ordinal)
+    b_nulls = nulls_of(b.atoms)
+    if len(a_nulls) != len(b_nulls):
+        return None
+    ground_a = frozenset(x for x in a if not nulls_of([x]))
+    ground_b = frozenset(x for x in b if not nulls_of([x]))
+    if ground_a != ground_b:
+        return None
+
+    b_atoms = b.atoms
+
+    def solve(i: int, binding: dict[Term, Term], used: set[Null]) -> dict[Term, Term] | None:
+        if i == len(a_nulls):
+            image = {Substitution(binding).apply_atom(x) for x in a}
+            return binding if image == b_atoms else None
+        n = a_nulls[i]
+        for m in sorted(b_nulls - used, key=lambda x: x.ordinal):
+            binding[n] = m
+            used.add(m)
+            # prune: every atom fully renamed so far must exist in b
+            ok = True
+            sub = Substitution(binding)
+            for x in a:
+                xs = nulls_of([x])
+                if xs and xs <= set(binding):
+                    if sub.apply_atom(x) not in b_atoms:
+                        ok = False
+                        break
+            if ok:
+                found = solve(i + 1, binding, used)
+                if found is not None:
+                    return found
+            del binding[n]
+            used.discard(m)
+        return None
+
+    found = solve(0, {}, set())
+    return Substitution(found) if found is not None else None
+
+
 def _bucket_key(inst: Instance) -> tuple:
     """Cheap renaming-invariant key; candidates in one bucket still get a
     full isomorphism check."""
@@ -179,7 +228,7 @@ def _group_instances(kb: KnowledgeBase, depth: int, dedup: str) -> list[list]:
         key = _bucket_key(inst)
         group = None
         for g in buckets.get(key, []):
-            if isomorphic_mod_nulls(inst, g[0]) is not None:
+            if isomorphic_oracle(inst, g[0]) is not None:
                 group = g
                 break
         if group is None:
@@ -198,7 +247,7 @@ def _find_rederivation(kb: KnowledgeBase, target: Instance, max_len: int, dedup:
         for cand in enumerate_derivations(kb.database, kb.rules, length, dedup=dedup):
             if len(cand) != length:
                 continue
-            if isomorphic_mod_nulls(cand.final, target) is None:
+            if isomorphic_oracle(cand.final, target) is None:
                 continue
             result = check(cand)
             if result:

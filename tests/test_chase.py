@@ -269,11 +269,32 @@ def test_enumerated_chain_derivations_validate_to_depth_5():
     assert count == 170
 
 
+@pytest.mark.parametrize("name,depth", [("join", 4), ("chain", 5)])
+def test_steps_store_only_the_atoms_they_add(name, depth):
+    kb = _sample_kb(name)
+    for d in enumerate_derivations(kb.database, kb.rules, depth):
+        assert len(d.initial) + sum(len(s.new_atoms) for s in d.steps) == len(d.final)
+        assert d.final == d.instance_at(len(d)) and d.final is d.final
+        d.validate()
+
+
+def test_validate_rejects_altered_new_atoms():
+    kb = _sample_kb("chain")
+    d = next(d for d in enumerate_derivations(kb.database, kb.rules, 3) if len(d) == 3)
+    step = d.steps[1]
+    extra = next(iter(d.initial.atoms))
+    for atoms in (step.new_atoms - {min(step.new_atoms, key=str)}, step.new_atoms | {extra},
+                  frozenset()):
+        bad = DerivationStep(step.rule, step.trigger, atoms)
+        with pytest.raises(ValueError, match="step 2: new atoms are not the head image"):
+            Derivation(d.initial, (d.steps[0], bad, d.steps[2])).validate()
+
+
 def test_validate_rejects_a_trigger_outside_the_instance(join_kb):
     d = Derivation(join_kb.database).extend(join_kb.rule_by_id("r1"), Substitution({X: A}))
     step = d.steps[0]
     ext = Substitution({**step.trigger.extension.mapping, X: B})
-    bad = DerivationStep(step.rule, Trigger("r1", Substitution({X: B}), ext), step.result)
+    bad = DerivationStep(step.rule, Trigger("r1", Substitution({X: B}), ext), step.new_atoms)
     with pytest.raises(ValueError, match="does not map the body"):
         Derivation(d.initial, (bad,)).validate()
 
@@ -285,6 +306,9 @@ def test_enumeration_depth_is_not_bounded_by_the_recursion_limit():
     first = list(itertools.islice(enumerate_derivations(db, (r,), 1500), 1501))
     assert [len(d) for d in first] == list(range(1501))
     assert all(s.trigger.hom == Substitution({X: Constant("a")}) for s in first[-1].steps)
+    # each step holds only the one atom it added, not the instance after it
+    assert sum(len(s.new_atoms) for s in first[-1].steps) == 1500
+    assert len(first[-1].final) == 1501
 
 
 def test_rule_properties_are_cached_without_changing_identity():

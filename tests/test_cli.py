@@ -93,6 +93,15 @@ def test_greedy_check_all_exit_codes(join_file, chain_file, capsys):
     assert "non-greedy" in out and "violation at step" in out
 
 
+@pytest.mark.parametrize("selection", [["--all"], ["--derivation", "3"]])
+def test_greedy_check_json_is_the_whole_output(chain_file, selection, capsys):
+    code = main(["greedy-check", chain_file, *selection, "--max-len", "2", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    ids = [r["id"] for r in payload["results"]]
+    assert ids == ([3] if "--derivation" in selection else list(range(len(ids))))
+    assert code == (0 if all(r["greedy"] for r in payload["results"]) else 1)
+
+
 def test_grd_output(join_file, capsys):
     assert main(["grd", join_file]) == 0
     out = capsys.readouterr().out

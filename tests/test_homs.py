@@ -9,7 +9,6 @@ from chasegraph.chase import enumerate_derivations
 from chasegraph.docparse import parse_document
 from chasegraph.errors import ResourceLimitError
 from chasegraph.homs import (
-    HomSearchProblem,
     canonical_key,
     find_homomorphisms,
     hom_equivalent,
@@ -27,7 +26,7 @@ from chasegraph.model import (
 )
 
 from conftest import A, B, X, Y
-from oracles import brute_force_homomorphisms
+from oracles import brute_force_homomorphisms, isomorphic_oracle
 
 
 def test_single_match():
@@ -57,11 +56,6 @@ def test_results_extend_seed_and_map_into_target():
     for h in find_homomorphisms({Atom("e", (X, Y))}, target, seed=seed):
         assert h[X] == A
         assert h.apply({Atom("e", (X, Y))}) <= target.atoms
-
-
-def test_seed_outside_source_rejected():
-    with pytest.raises(ValueError):
-        HomSearchProblem(frozenset({Atom("p", (X,))}), Instance(), Substitution({Y: A}))
 
 
 def test_limit_returns_prefix_of_search():
@@ -98,6 +92,8 @@ def test_isomorphic_mod_nulls_examples():
     split = Instance({Atom("q", (A, Null(2), Null(3)))})
     assert isomorphic_mod_nulls(shared, split) is None
     assert isomorphic_mod_nulls(split, shared) is None
+    # same null components, different ground atoms
+    assert isomorphic_mod_nulls(left | {Atom("p", (A,))}, right | {Atom("p", (B,))}) is None
 
 
 def test_isomorphic_implies_hom_equivalent():
@@ -175,10 +171,10 @@ def test_canonical_key_equal_iff_isomorphic(name, depth):
     firsts = [members[0] for members in classes.values()]
     for members in classes.values():
         for inst in members[1:]:
-            assert isomorphic_mod_nulls(members[0], inst) is not None
+            assert isomorphic_oracle(members[0], inst) is not None
     for i, a in enumerate(firsts):
         for b in firsts[i + 1:]:
-            assert isomorphic_mod_nulls(a, b) is None
+            assert isomorphic_oracle(a, b) is None
 
 
 def test_canonical_key_invariant_under_null_renaming():
@@ -259,3 +255,68 @@ def test_canonical_key_tries_every_member_of_a_colour_class():
         perm = rng.sample(range(8), 8)
         keys.add(canonical_key(_graph([(perm[a], perm[b]) for a, b in edges])))
     assert len(keys) == 1
+
+
+# ---------------------------------------------------------------------------
+# isomorphism through the canonical labelling, against the backtracking oracle
+# ---------------------------------------------------------------------------
+
+def _assert_agrees_with_oracle(a: Instance, b: Instance) -> bool:
+    ren = isomorphic_mod_nulls(a, b)
+    assert (ren is None) == (isomorphic_oracle(a, b) is None)
+    if ren is not None:
+        assert set(ren.mapping) == a.nulls() and set(ren.mapping.values()) == b.nulls()
+        assert ren.apply(a.atoms) == b.atoms
+    return ren is not None
+
+
+def test_isomorphic_mod_nulls_matches_oracle_on_equal_size_sample_finals():
+    by_size: dict[int, list[Instance]] = {}
+    for inst in _sample_finals("join", 4) + _sample_finals("chain", 5):
+        by_size.setdefault(len(inst), []).append(inst)
+    found = 0
+    for members in by_size.values():
+        sample = members[::max(1, len(members) // 8)]
+        for i, a in enumerate(sample):
+            for b in sample[i + 1:]:
+                found += _assert_agrees_with_oracle(a, b)
+    assert found > 0
+
+
+def _random_instance(rng: random.Random, n_nulls: int) -> Instance:
+    terms = [Null(300 + i) for i in range(n_nulls)] + [A]
+    atoms = {Atom("e", (rng.choice(terms), rng.choice(terms))) for _ in range(2 * n_nulls)}
+    atoms |= {Atom("p", (rng.choice(terms),)) for _ in range(rng.randint(0, 2))}
+    return Instance(atoms)
+
+
+def test_isomorphic_mod_nulls_matches_oracle_on_random_graphs():
+    rng = random.Random(2307)
+    hits = misses = 0
+    for _ in range(1200):
+        a = _random_instance(rng, rng.randint(3, 7))
+        nulls = sorted(a.nulls(), key=lambda n: n.ordinal)
+        ren = Substitution(dict(zip(nulls, map(Null, rng.sample(range(900, 950), len(nulls))))))
+        b = Instance(ren.apply(a.atoms))
+        assert _assert_agrees_with_oracle(a, b)
+        # replace one atom by a random one of its predicate: sometimes still isomorphic
+        old = rng.choice(sorted(b.atoms, key=str))
+        terms = sorted(b.terms(), key=str)
+        new = Atom(old.pred, tuple(rng.choice(terms) for _ in old.args))
+        perturbed = Instance(b.atoms - {old} | {new})
+        if len(perturbed) == len(a):
+            if _assert_agrees_with_oracle(a, perturbed):
+                hits += 1
+            else:
+                misses += 1
+    assert hits > 0 and misses > 0
+
+
+def test_isomorphic_mod_nulls_runs_under_the_canonical_budget(monkeypatch):
+    k33 = _graph([(i, j) for i in range(3) for j in range(3, 6)])
+    relabelled = Instance(Substitution({Null(700 + i): Null(810 - i) for i in range(6)})
+                          .apply(k33.atoms))
+    assert relabelled != k33 and isomorphic_mod_nulls(k33, relabelled) is not None
+    monkeypatch.setattr(homs, "MAX_CANON_NODES", 1)
+    with pytest.raises(ResourceLimitError, match="MAX_CANON_NODES of 1 "):
+        isomorphic_mod_nulls(k33, relabelled)

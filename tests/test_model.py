@@ -11,9 +11,7 @@ from chasegraph.model import (
     Rule,
     Substitution,
     Variable,
-    apply_substitution,
     fresh_null,
-    frontier,
     frontier_atoms,
     term_key,
 )
@@ -55,41 +53,31 @@ def test_rule_rejects_empty_parts_and_nulls():
 def test_frontier_of_join_rule(join_kb):
     # the q/s join: all four body variables shared with the head
     r4 = join_kb.rule_by_id("r4")
-    assert frontier(r4) == {X, Y, W, U}
+    assert r4.frontier == {X, Y, W, U}
     assert r4.existentials == {O}
 
 
 def test_frontier_empty_when_head_purely_existential():
     r = Rule("r", frozenset({Atom("p", (X,))}), frozenset({Atom("q", (Y,))}))
-    assert frontier(r) == frozenset()
+    assert r.frontier == frozenset()
     assert frontier_atoms(r) == frozenset()
 
 
 def test_frontier_of_chain_closure_rule(chain_kb):
     r3 = chain_kb.rule_by_id("r3")
-    assert frontier(r3) == {X, Y}
+    assert r3.frontier == {X, Y}
 
 
 def test_frontier_atoms_body_side(chain_kb):
     r3 = chain_kb.rule_by_id("r3")
-    assert frontier_atoms(r3, "body") == {Atom("r", (X, Y)), Atom("q", (Z, X))}
+    assert frontier_atoms(r3) == {Atom("r", (X, Y)), Atom("q", (Z, X))}
     r1 = chain_kb.rule_by_id("r1")
-    assert frontier_atoms(r1, "body") == {Atom("p", (X, Y))}
-
-
-def test_frontier_atoms_head_and_both_sides(chain_kb):
-    r1 = chain_kb.rule_by_id("r1")  # p(X,Y) -> q(Y,Z), frontier {Y}
-    assert frontier_atoms(r1, "head") == {Atom("q", (Y, Z))}
-    assert frontier_atoms(r1, "both") == {Atom("p", (X, Y)), Atom("q", (Y, Z))}
-    with pytest.raises(ValueError):
-        frontier_atoms(r1, "sideways")
+    assert frontier_atoms(r1) == {Atom("p", (X, Y))}
 
 
 def test_apply_substitution_examples():
-    assert apply_substitution({Atom("p", (X,))}, Substitution({X: A})) == {Atom("p", (A,))}
-    collapsed = apply_substitution(
-        {Atom("p", (X, Y)), Atom("p", (Y, X))}, Substitution({X: A, Y: A})
-    )
+    assert Substitution({X: A}).apply({Atom("p", (X,))}) == {Atom("p", (A,))}
+    collapsed = Substitution({X: A, Y: A}).apply({Atom("p", (X, Y)), Atom("p", (Y, X))})
     assert collapsed == {Atom("p", (A, A))}
 
 
@@ -98,14 +86,14 @@ def test_apply_substitution_join_body(join_kb):
     n = [Null(1000 + i) for i in range(4)]
     h4 = Substitution({X: A, Y: n[0], Z: n[1], W: B, U: n[2], V: n[3]})
     body = join_kb.rule_by_id("r4").body
-    assert apply_substitution(body, h4) == {
+    assert h4.apply(body) == {
         Atom("q", (A, n[0], n[1])), Atom("s", (B, n[2], n[3])),
     }
 
 
 def test_apply_substitution_unbound_variable():
     with pytest.raises(UnboundVariableError):
-        apply_substitution({Atom("p", (X, Y))}, Substitution({X: A}))
+        Substitution({X: A}).apply({Atom("p", (X, Y))})
 
 
 def test_substitution_rejects_constant_remap():
@@ -136,7 +124,7 @@ atoms = st.builds(
 @given(st.sets(atoms, max_size=6))
 def test_identity_substitution_is_identity(atom_set):
     identity = Substitution({t: t for a in atom_set for t in a.args})
-    assert apply_substitution(atom_set, identity) == frozenset(atom_set)
+    assert identity.apply(atom_set) == frozenset(atom_set)
 
 
 @given(st.sets(atoms, min_size=1, max_size=4), st.sets(atoms, min_size=1, max_size=4))
