@@ -303,11 +303,12 @@ def normalize_by_grd(d: Derivation, grd: RuleDependencyGraph) -> Derivation:
 def group_derivations(
     kb: KnowledgeBase, max_len: int, shortest_only: bool = False
 ) -> dict[tuple, tuple[Instance, list[Derivation]]]:
-    """Derivations up to max_len by the canonical key of their final instance:
-    key -> (first final instance seen, members in enumeration order).  With
-    shortest_only, a group keeps only its members of the least length seen."""
+    """Derivations up to max_len, one per trace (``dedup="traces"``), by the
+    canonical key of their final instance: key -> (first final instance seen,
+    members in enumeration order).  With shortest_only, a group keeps only
+    its members of the least length seen."""
     groups: dict[tuple, tuple[Instance, list[Derivation]]] = {}
-    for d in enumerate_derivations(kb.database, kb.rules, max_len):
+    for d in enumerate_derivations(kb.database, kb.rules, max_len, dedup="traces"):
         _, members = groups.setdefault(canonical_key(d.final), (d.final, []))
         if shortest_only and members and len(d) < len(members[0]):
             members.clear()
@@ -327,12 +328,13 @@ def find_greedy_rederivation(
     kb: KnowledgeBase, target: Instance, max_len: int
 ) -> Derivation | None:
     """Shortest greedy derivation of ``target`` (up to null renaming), if any:
-    the first in (length, enumeration) order of one enumeration to max_len.
+    the first in (length, enumeration) order of one enumeration to max_len,
+    which keeps one derivation per trace (greediness is a trace invariant).
     With no early exit, ResourceLimitError comes whenever the enumeration, or
     the canonical key of a final instance as large as the target, trips its budget.
     """
     key = canonical_key(target)
-    group = [d for d in enumerate_derivations(kb.database, kb.rules, max_len)
+    group = [d for d in enumerate_derivations(kb.database, kb.rules, max_len, dedup="traces")
              if len(d.final) == len(target) and canonical_key(d.final) == key]
     found = first_good(group, max_len, lambda d: is_greedy(d, kb).greedy)
     return found[0] if found else None

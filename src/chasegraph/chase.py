@@ -36,6 +36,7 @@ from .model import (
     fresh_null,
     nulls_of,
     term_key,
+    terms_of,
     variables_of,
 )
 
@@ -100,7 +101,7 @@ class Derivation:
 
     def validate(self) -> None:
         """Raise ValueError unless every step invariant holds."""
-        prev = self.initial
+        prev, seen = self.initial, set(self.initial.terms())  # seen: the terms of prev
         for i, step in enumerate(self.steps, start=1):
             r = step.rule
             hom, ext = step.trigger.hom, step.trigger.extension
@@ -115,11 +116,12 @@ class Derivation:
             fresh = [ext[z] for z in sorted(r.existentials, key=term_key)]
             if len(set(fresh)) != len(fresh) or not all(isinstance(n, Null) for n in fresh):
                 raise ValueError(f"step {i}: existential images are not distinct nulls")
-            if any(n in prev.terms() for n in fresh):
+            if not seen.isdisjoint(fresh):
                 raise ValueError(f"step {i}: fresh null already occurs earlier")
             if step.new_atoms != ext.apply(r.head) - prev.atoms:
                 raise ValueError(f"step {i}: new atoms are not the head image minus I{i-1}")
             prev = Instance._of(prev.atoms | step.new_atoms)
+            seen.update(terms_of(step.new_atoms))
 
 
 def triggers(instance: Instance, r: Rule) -> list[Substitution]:
@@ -181,7 +183,8 @@ def chase_levels(
     for _ in range(k):
         levels.append(one_step(levels[-1], rules))
         if len(levels[-1]) > max_atoms:
-            raise ResourceLimitError(f"saturation exceeded {max_atoms} atoms")
+            raise ResourceLimitError(f"saturation exceeded {max_atoms} atoms",
+                                     budget="atoms", limit=max_atoms)
     return levels
 
 
@@ -247,27 +250,40 @@ def enumerate_derivations(
     by trigger order.  ``dedup="mod-nulls"`` yields the same stream as "none":
     two derivations of one DFS first differ at a step whose bindings render
     differently under ``derivation_key``, so no two are null renamings.
+    ``dedup="traces"`` yields only the DFS-first derivation of each trace
+    (derivations equal up to swapping independent steps) by a search with
+    sleep sets; DECISIONS.md section 5 gives the argument.  A frame's sleep
+    dict maps each sleeping or explored trigger, as (rule index, match key),
+    to the atoms it added; a child keeps the entries disjoint from its step's.
     Redundant steps (head image already present) are legal derivation steps
-    and are enumerated unless ``skip_redundant`` is set.
+    and are enumerated unless ``skip_redundant`` is set.  ``max_derivations``
+    bounds the derivations yielded.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    if dedup not in ("none", "mod-nulls"):
+    if dedup not in ("none", "mod-nulls", "traces"):
         raise ValueError(f"unknown dedup mode {dedup!r}")
     bodies = [sorted(r.body, key=atom_key) for r in rules]
 
-    def frame(d: Derivation, delta: frozenset[Atom], index: dict, lists: list) -> tuple:
+    def frame(d: Derivation, delta: frozenset[Atom], index: dict, lists: list,
+              sleep: dict | None) -> tuple:
         index = _index_by_pred(delta, index)
         lists = [_merge_triggers(old, body, delta, index) for body, old in zip(bodies, lists)]
-        return d, index, lists, ((r, h) for r, ts in zip(rules, lists) for _, h in ts)
+        if sleep is None:
+            moves = ((None, r, h) for r, ts in zip(rules, lists) for _, h in ts)
+        else:
+            moves = (((i, k), r, h) for i, (r, ts) in enumerate(zip(rules, lists))
+                     for k, h in ts if (i, k) not in sleep)
+        return d, index, lists, moves, sleep
 
     count, stack = 0, []
-    node = (Derivation(db), db.atoms, {}, [[] for _ in rules])
+    node = (Derivation(db), db.atoms, {}, [[] for _ in rules], {} if dedup == "traces" else None)
     while node or stack:
         if node:
             count += 1
             if count > max_derivations:
-                raise ResourceLimitError(f"more than {max_derivations} derivations")
+                raise ResourceLimitError(f"more than {max_derivations} derivations",
+                                         budget="derivations", limit=max_derivations)
             yield node[0]
             if len(node[0]) < max_len:
                 stack.append(frame(*node))
@@ -275,7 +291,13 @@ def enumerate_derivations(
         elif (nxt := next(stack[-1][3], None)) is None:
             stack.pop()
         else:
-            d, index, lists, _ = stack[-1]
-            step = _step(d.final, *nxt)
+            d, index, lists, _, sleep = stack[-1]
+            ident, r, h = nxt
+            step = _step(d.final, r, h)
+            asleep = None
+            if sleep is not None and len(d) + 1 < max_len:  # a leaf child opens no frame
+                asleep = {s: n for s, n in sleep.items() if n.isdisjoint(step.new_atoms)}
+                sleep[ident] = step.new_atoms
             if step.new_atoms or not skip_redundant:
-                node = (Derivation(d.initial, d.steps + (step,)), step.new_atoms, index, lists)
+                node = (Derivation(d.initial, d.steps + (step,)), step.new_atoms, index, lists,
+                        asleep)

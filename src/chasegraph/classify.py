@@ -12,6 +12,12 @@ instances and ask for one good derivation each: one enumeration groups them
 by isomorphism up to null renaming (not homomorphic equivalence, an open
 choice) under the ``homs.MAX_CANON_NODES`` budget, which yields unknown when
 it trips.  A witness is a group's first good derivation in (length, DFS) order.
+
+Every class reads the ``dedup="traces"`` stream, one derivation per trace:
+length, final instance, greediness and reducibility are trace invariants,
+and each certificate or witness is the DFS-first member of its trace, so it
+is the one the stream keeps (DECISIONS.md section 5).  An unknown verdict
+names the budget that tripped and its limit.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ class ClassificationVerdict:
     result: str
     certificate: object = None
     detail: str = ""
+    budget: str = ""
+    limit: int | None = None
 
     @property
     def holds(self) -> bool:
@@ -70,7 +78,8 @@ def classify(
     depth: int,
     rederivation_bound: str = "shortest",
 ) -> ClassificationVerdict:
-    """Bounded membership verdict for one class.
+    """Bounded membership verdict for one class, from one derivation per
+    trace (``dedup="traces"``).
 
     gbts: every derivation up to the depth is greedy.
     cdgs: every derivation's graph reduces to a cycle-free graph.
@@ -87,7 +96,7 @@ def classify(
         raise ValueError(f"unknown rederivation bound {rederivation_bound!r}")
     try:
         if cls == "gbts":
-            for d in enumerate_derivations(kb.database, kb.rules, depth):
+            for d in enumerate_derivations(kb.database, kb.rules, depth, dedup="traces"):
                 report = is_greedy(d, kb)
                 if not report.greedy:
                     cert = Refutation(d, "non-greedy derivation", greediness=report)
@@ -98,7 +107,7 @@ def classify(
             return ClassificationVerdict(cls, depth, HOLDS)
 
         if cls == "cdgs":
-            for d in enumerate_derivations(kb.database, kb.rules, depth):
+            for d in enumerate_derivations(kb.database, kb.rules, depth, dedup="traces"):
                 if reduce_graph(build_derivation_graph(d, kb), "full") is None:
                     cert = Refutation(d, "derivation graph admits no complete reduction")
                     return ClassificationVerdict(cls, depth, REFUTED, cert)
@@ -123,7 +132,8 @@ def classify(
                                           result if cls == "wcdgs" else None))
         return ClassificationVerdict(cls, depth, HOLDS, tuple(witnesses))
     except ResourceLimitError as exc:
-        return ClassificationVerdict(cls, depth, UNKNOWN, detail=str(exc))
+        return ClassificationVerdict(cls, depth, UNKNOWN, detail=str(exc),
+                                     budget=exc.budget, limit=exc.limit)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,15 @@ class ResourceLimitError(EngineError):
     """A configured atom/derivation/state budget was exceeded.
 
     Raised explicitly instead of silently truncating results, so callers can
-    distinguish "searched everything" from "gave up".
+    distinguish "searched everything" from "gave up".  ``budget`` names the
+    budget that tripped ("derivations", "atoms", "canonical-nodes" or
+    "reduction-states") and ``limit`` is its value.
     """
+
+    def __init__(self, message: str, budget: str = "", limit: int | None = None):
+        super().__init__(message)
+        self.budget = budget
+        self.limit = limit
 
 
 class ParseError(EngineError):

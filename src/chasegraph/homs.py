@@ -221,7 +221,8 @@ def _canonical_forms(inst: Instance) -> tuple[list[tuple], list[tuple[tuple, dic
             if nodes > budget:
                 raise ResourceLimitError(
                     f"canonical form of an instance with {len(inst.nulls())} nulls exceeded "
-                    f"the canonical-form budget MAX_CANON_NODES of {budget} search nodes")
+                    f"the canonical-form budget MAX_CANON_NODES of {budget} search nodes",
+                    budget="canonical-nodes", limit=budget)
             colour = stack.pop()
             split = min((ms for ms in cells(colour).values() if len(ms) > 1),
                         key=lambda ms: colour[ms[0]], default=None)

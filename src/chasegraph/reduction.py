@@ -223,7 +223,8 @@ def _reduce_full(g: DerivationGraph, max_states: int) -> ReductionTrace | None:
         else:
             seen.add(key)
             if len(seen) > max_states:
-                raise ResourceLimitError(f"reduction search exceeded {max_states} states")
+                raise ResourceLimitError(f"reduction search exceeded {max_states} states",
+                                         budget="reduction-states", limit=max_states)
             pending.append(_moves(cur))
         while pending:
             step = next(pending[-1], None)

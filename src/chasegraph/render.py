@@ -151,6 +151,8 @@ def verdict_json(v: ClassificationVerdict) -> dict[str, Any]:
     }
     if v.detail:
         out["detail"] = v.detail
+    if v.budget:
+        out["budget"] = {"name": v.budget, "limit": v.limit}
     cert = v.certificate
     if isinstance(cert, Refutation):
         out["certificate"] = {

@@ -21,6 +21,7 @@ from chasegraph.model import (
     Substitution,
     Variable,
     nulls_of,
+    term_key,
 )
 
 A, B = Constant("a"), Constant("b")
@@ -99,6 +100,30 @@ def chain_nulls(d: Derivation) -> tuple[Null, Null]:
     z0 = next(iter(nulls_of(d.new_atoms(1))))
     z1 = next(iter(nulls_of(d.new_atoms(2)) - {z0}))
     return z0, z1
+
+
+def trace_key(d: Derivation) -> frozenset:
+    """The trace of a derivation: the set of its events, where an event is a
+    rule, its body match and the atoms it added, each null named by the event
+    that created it (initial nulls by themselves), and repeats of one event
+    are numbered in order.  Equal for two derivations iff one turns into the
+    other by swapping adjacent independent steps and renaming nulls."""
+    names: dict = {}
+    count: dict = {}
+
+    def name(t):
+        return names.get(t, term_key(t))
+
+    events = []
+    for step in d.steps:
+        ext = step.trigger.extension
+        ev = (step.rule.rid, tuple((term_key(v), name(t)) for v, t in step.trigger.hom.items()))
+        nth = count[ev] = count.get(ev, -1) + 1
+        for z in step.rule.existentials:
+            names[ext[z]] = (ev, nth, term_key(z))
+        added = frozenset((a.pred, tuple(map(name, a.args))) for a in step.new_atoms)
+        events.append((ev, nth, added))
+    return frozenset(events)
 
 
 def rename_derivation_nulls(d: Derivation, mapping: dict[Null, Null]) -> Derivation:

@@ -23,7 +23,7 @@ from chasegraph.homs import hom_exists, isomorphic_mod_nulls
 from chasegraph.model import Atom, Constant, Instance, Rule, Substitution, Variable, nulls_of
 from chasegraph.randkb import random_kb
 
-from conftest import A, B, X, Y, Z
+from conftest import A, B, X, Y, Z, trace_key
 from oracles import enumerate_oracle
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -102,8 +102,9 @@ def test_chase_monotone(join_kb):
 
 
 def test_chase_resource_limit(join_kb):
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="^saturation exceeded 20 atoms$") as exc:
         chase_k(join_kb.database, join_kb.rules, 4, max_atoms=20)
+    assert (exc.value.budget, exc.value.limit) == ("atoms", 20)
 
 
 def test_chase_two_covers_four_step_derivation(join_kb, nongreedy_join_derivation):
@@ -187,6 +188,7 @@ def _sample_kb(name: str):
     return parse_document((SAMPLES / f"{name}.rules").read_text()).knowledge_base()
 
 
+@lru_cache(maxsize=None)
 def _random_kbs(count: int = 30, budget: int = 500):
     """The first ``count`` seeded KBs with 2 to ``budget`` derivations at depth 3."""
     rng, kbs = random.Random(4011), []
@@ -200,6 +202,17 @@ def _random_kbs(count: int = 30, budget: int = 500):
 
 
 SAMPLE_CASES = [("join", d) for d in range(6)] + [("chain", d) for d in range(7)]
+
+
+def _assert_one_per_trace(db, rules, depth, **kwargs) -> int:
+    """The traces stream has pairwise distinct trace keys, and they are
+    exactly the trace keys of the full stream; returns its length."""
+    full = {trace_key(d) for d in enumerate_derivations(db, rules, depth, **kwargs)}
+    reps = [trace_key(d) for d in enumerate_derivations(db, rules, depth, dedup="traces",
+                                                        **kwargs)]
+    assert len(set(reps)) == len(reps)
+    assert set(reps) == full
+    return len(reps)
 
 
 @pytest.mark.parametrize("name,depth", SAMPLE_CASES)
@@ -255,6 +268,7 @@ def test_skip_redundant_matches_oracle():
     for skip in (False, True):
         new = _stream(enumerate_derivations, db, rules, 4, skip_redundant=skip)
         assert new == _stream(enumerate_oracle, db, rules, 4, skip_redundant=skip)
+        _assert_one_per_trace(db, rules, 4, skip_redundant=skip)
     kept = _stream(enumerate_derivations, db, rules, 4, skip_redundant=True)[0]
     assert all("copy" not in [rid for rid, _ in key] for key in kept)
     assert len(kept) < len(_stream(enumerate_derivations, db, rules, 4)[0])
@@ -290,6 +304,21 @@ def test_validate_rejects_altered_new_atoms():
             Derivation(d.initial, (d.steps[0], bad, d.steps[2])).validate()
 
 
+def test_validate_rejects_a_fresh_null_that_occurs_earlier():
+    kb = _sample_kb("chain")
+    d = next(d for d in enumerate_derivations(kb.database, kb.rules, 2)
+             if d.rule_ids() == ("r1", "r2"))
+    d.validate()
+    step = d.steps[1]
+    old = next(iter(nulls_of(d.new_atoms(1))))  # made by step 1, read by step 2's body
+    z = next(iter(step.rule.existentials))
+    ext = Substitution({**step.trigger.extension.mapping, z: old})
+    bad = DerivationStep(step.rule, Trigger(step.rule.rid, step.trigger.hom, ext),
+                         ext.apply(step.rule.head) - d.instance_at(1).atoms)
+    with pytest.raises(ValueError, match="step 2: fresh null already occurs earlier"):
+        Derivation(d.initial, (d.steps[0], bad)).validate()
+
+
 def test_validate_rejects_a_trigger_outside_the_instance(join_kb):
     d = Derivation(join_kb.database).extend(join_kb.rule_by_id("r1"), Substitution({X: A}))
     step = d.steps[0]
@@ -318,3 +347,66 @@ def test_rule_properties_are_cached_without_changing_identity():
     assert (r.body_vars, r.head_vars, r.frontier, r.existentials) == ({X, Y}, {Y, Z}, {Y}, {Z})
     assert r == twin and hash(r) == hash(twin) and {r, twin} == {twin}
     assert Variable("X") in r.body_vars
+
+
+# ---------------------------------------------------------------------------
+# one derivation per trace (sleep sets) against the full stream
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,depth,count", [
+    ("join", 4, 99), ("join", 5, 360), ("join", 6, 1463), ("chain", 6, 243), ("chain", 7, 868),
+])
+def test_traces_counts_on_samples(name, depth, count):
+    kb = _sample_kb(name)
+    stream = enumerate_derivations(kb.database, kb.rules, depth, dedup="traces")
+    assert sum(1 for _ in stream) == count
+
+
+@pytest.mark.parametrize("skip", [False, True])
+@pytest.mark.parametrize("name,depth", [c for c in SAMPLE_CASES if c[1] >= 1])
+def test_traces_stream_has_one_derivation_per_trace_on_samples(name, depth, skip):
+    kb = _sample_kb(name)
+    _assert_one_per_trace(kb.database, kb.rules, depth, skip_redundant=skip)
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_traces_stream_has_one_derivation_per_trace_on_random_kbs(skip):
+    for kb, keys in _random_kbs():
+        assert _assert_one_per_trace(kb.database, kb.rules, 3, skip_redundant=skip) <= len(keys)
+
+
+def test_traces_stream_keeps_both_orders_of_two_heads_sharing_an_atom():
+    # both rules derive q(a): whichever runs first adds it, so the orders differ
+    only_q = Rule("only_q", frozenset({Atom("p", (X,))}), frozenset({Atom("q", (X,))}))
+    q_and_s = Rule("q_and_s", frozenset({Atom("p", (X,))}),
+                   frozenset({Atom("q", (X,)), Atom("s", (X,))}))
+    db = Instance({Atom("p", (A,))})
+    pairs = {d.rule_ids(): [s.new_atoms for s in d.steps]
+             for d in enumerate_derivations(db, (only_q, q_and_s), 2, dedup="traces")
+             if len(d) == 2 and d.rule_ids()[0] != d.rule_ids()[1]}
+    q, s = Atom("q", (A,)), Atom("s", (A,))
+    assert pairs == {("only_q", "q_and_s"): [{q}, {s}], ("q_and_s", "only_q"): [{q, s}, set()]}
+    # with disjoint heads the two orders are one trace, and only the first is kept
+    only_s = Rule("only_s", frozenset({Atom("p", (X,))}), frozenset({Atom("s", (X,))}))
+    orders = [d.rule_ids() for d in enumerate_derivations(db, (only_q, only_s), 2,
+                                                          dedup="traces")
+              if len(d) == 2 and d.rule_ids()[0] != d.rule_ids()[1]]
+    assert orders == [("only_q", "only_s")]
+
+
+def test_traces_budget_counts_yielded_representatives():
+    kb = _sample_kb("join")
+    assert len(list(enumerate_derivations(kb.database, kb.rules, 4, dedup="traces",
+                                          max_derivations=99))) == 99
+    got = []
+    with pytest.raises(ResourceLimitError, match="more than 98 derivations") as exc:
+        for d in enumerate_derivations(kb.database, kb.rules, 4, dedup="traces",
+                                       max_derivations=98):
+            got.append(d)
+    assert len(got) == 98
+    assert (exc.value.budget, exc.value.limit) == ("derivations", 98)
+
+
+def test_unknown_dedup_mode_is_rejected(join_kb):
+    with pytest.raises(ValueError, match="unknown dedup mode"):
+        next(enumerate_derivations(join_kb.database, join_kb.rules, 1, dedup="trace"))

@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 import subprocess
@@ -5,11 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from chasegraph import homs
+from chasegraph import analysis, chase, homs
 from chasegraph.analysis import is_greedy
 from chasegraph.chase import derivation_key, enumerate_derivations
 from chasegraph.classify import (
+    CLASSES,
     HOLDS,
     REFUTED,
     UNKNOWN,
@@ -25,8 +28,9 @@ from chasegraph.homs import isomorphic_mod_nulls
 from chasegraph.model import Atom, BooleanQuery, Instance, KnowledgeBase
 from chasegraph.randkb import random_kb
 from chasegraph.reduction import reduce_graph
+from chasegraph.render import verdict_json
 
-from conftest import A, X, Y, Z
+from conftest import A, X, Y, Z, trace_key
 from oracles import weak_classify_oracle
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -234,6 +238,46 @@ def test_canonical_form_budget_gives_unknown(join_kb, monkeypatch):
     verdict = classify(join_kb, "wgbts", 3)
     assert verdict.result == UNKNOWN
     assert "MAX_CANON_NODES of 1 " in verdict.detail
+    assert (verdict.budget, verdict.limit) == ("canonical-nodes", 1)
+    out = verdict_json(verdict)
+    assert out["schema"] == 1 and out["detail"] == verdict.detail
+    assert out["budget"] == {"name": "canonical-nodes", "limit": 1}
+    assert "budget" not in verdict_json(classify(join_kb, "gbts", 3))
+
+
+# ---------------------------------------------------------------------------
+# one derivation per trace gives the answers of the full stream
+# ---------------------------------------------------------------------------
+
+def _full_stream(*args, **kwargs):
+    return chase.enumerate_derivations(*args, **{**kwargs, "dedup": "none"})
+
+
+def _certificate_keys(verdict):
+    cert = verdict.certificate
+    if isinstance(cert, Refutation):
+        return derivation_key(cert.derivation)
+    return cert and [(w.shortest_len, derivation_key(w.witness)) for w in cert]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_traces_stream_gives_the_full_stream_answers(seed):
+    kb = random_kb(random.Random(seed))
+    try:
+        full = list(enumerate_derivations(kb.database, kb.rules, 3, max_derivations=300))
+    except ResourceLimitError:
+        assume(False)
+    traces = list(enumerate_derivations(kb.database, kb.rules, 3, dedup="traces"))
+    assert {trace_key(d) for d in traces} == {trace_key(d) for d in full}
+    fast = [classify(kb, cls, 3) for cls in CLASSES]
+    with pytest.MonkeyPatch.context() as mp:  # every verdict from the full stream
+        mp.setattr(importlib.import_module("chasegraph.classify"), "enumerate_derivations",
+                   _full_stream)
+        mp.setattr(analysis, "enumerate_derivations", _full_stream)
+        slow = [classify(kb, cls, 3) for cls in CLASSES]
+    for new, old in zip(fast, slow):
+        assert (new.result, _certificate_keys(new)) == (old.result, _certificate_keys(old))
 
 
 _DIGEST_SCRIPT = """

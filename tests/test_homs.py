@@ -318,5 +318,6 @@ def test_isomorphic_mod_nulls_runs_under_the_canonical_budget(monkeypatch):
                           .apply(k33.atoms))
     assert relabelled != k33 and isomorphic_mod_nulls(k33, relabelled) is not None
     monkeypatch.setattr(homs, "MAX_CANON_NODES", 1)
-    with pytest.raises(ResourceLimitError, match="MAX_CANON_NODES of 1 "):
+    with pytest.raises(ResourceLimitError, match="MAX_CANON_NODES of 1 ") as exc:
         isomorphic_mod_nulls(k33, relabelled)
+    assert (exc.value.budget, exc.value.limit) == ("canonical-nodes", 1)

@@ -198,8 +198,9 @@ def test_greedy_iff_reducible_exhaustive_on_join_kb(join_kb):
 
 def test_reduce_full_state_cap(join_kb, nongreedy_join_derivation):
     g = build_derivation_graph(nongreedy_join_derivation, join_kb)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="^reduction search exceeded 2 states$") as exc:
         reduce_graph(g, "full", max_states=2)
+    assert (exc.value.budget, exc.value.limit) == ("reduction-states", 2)
 
 
 def test_reductions_only_touch_arcs(golden):
