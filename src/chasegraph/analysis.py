@@ -317,11 +317,10 @@ def group_derivations(
     return groups
 
 
-def first_good(group: list[Derivation], max_len: int, check):
-    """(d, check(d)) for the first d of length <= max_len with a truthy check,
-    in (length, enumeration) order, which iterative deepening also follows."""
-    return next(((d, r) for d in sorted(group, key=len) if len(d) <= max_len and (r := check(d))),
-                None)
+def first_good(group: list[Derivation], check):
+    """(d, check(d)) for the first d with a truthy check, in (length,
+    enumeration) order, which iterative deepening also follows."""
+    return next(((d, r) for d in sorted(group, key=len) if (r := check(d))), None)
 
 
 def find_greedy_rederivation(
@@ -336,5 +335,5 @@ def find_greedy_rederivation(
     key = canonical_key(target)
     group = [d for d in enumerate_derivations(kb.database, kb.rules, max_len, dedup="traces")
              if len(d.final) == len(target) and canonical_key(d.final) == key]
-    found = first_good(group, max_len, lambda d: is_greedy(d, kb).greedy)
+    found = first_good(group, lambda d: is_greedy(d, kb).greedy)
     return found[0] if found else None

@@ -120,8 +120,7 @@ def classify(
         groups = group_derivations(kb, depth, rederivation_bound == "shortest")
         for target, members in groups.values():
             shortest = min(members, key=len)
-            bound = len(shortest) if rederivation_bound == "shortest" else depth
-            found = first_good(members, bound, check)
+            found = first_good(members, check)
             if found is None:
                 reason = ("instance admits no greedy derivation" if cls == "wgbts"
                           else "no derivation of the instance has a reducible graph")
@@ -147,7 +146,8 @@ class SubsumptionReport:
 
 
 def subsumption_check(kb: KnowledgeBase, depth: int) -> SubsumptionReport:
-    """Cross-validate the four verdicts on one enumeration.
+    """Cross-validate the four verdicts, one ``classify`` call (and so one
+    enumeration) per class.
 
     The universal class must imply its weak variant, and the greediness
     pipeline must agree with the reduction pipeline outright; a failed

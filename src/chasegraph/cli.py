@@ -28,8 +28,20 @@ def _load(path: str) -> RuleDocument:
     return parse_document(Path(path).read_text())
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type`` for integers >= minimum; anything else is a
+    usage error (exit 2), not a traceback."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_selection_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-len", type=int, default=4,
+    p.add_argument("--max-len", type=_int_at_least(0), default=4,
                    help="enumeration length bound used to resolve derivation ids")
     p.add_argument("--dedup", choices=["none", "mod-nulls"], default="none",
                    help="accepted for compatibility; both modes list the same derivations")
@@ -264,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chase", help="k-level saturation of the database")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int_at_least(0), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_chase)
 
@@ -318,22 +330,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="bounded class membership verdict")
     p.add_argument("file")
     p.add_argument("--class", dest="cls", choices=CLASSES, required=True)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_int_at_least(1), default=4)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("entail", help="bounded Boolean query entailment")
     p.add_argument("file")
     p.add_argument("--query", required=True)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_int_at_least(0), default=4)
     p.set_defaults(func=cmd_entail)
 
     p = sub.add_parser("selfcheck",
                        help="randomized greediness/reducibility agreement check")
     p.add_argument("--kbs", type=int, default=100)
-    p.add_argument("--max-len", type=int, default=3)
+    p.add_argument("--max-len", type=_int_at_least(0), default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=2000,
+    p.add_argument("--budget", type=_int_at_least(1), default=2000,
                    help="per-KB derivation budget before the KB is skipped")
     p.set_defaults(func=cmd_selfcheck)
 

@@ -44,17 +44,16 @@ class NodeFacts:
 
     Reduction rewrites arcs and labels only, so one ``NodeFacts`` is built
     per derivation graph and shared by every reduced copy.  ``terms[i]`` is
-    terms(Xi) (the node's terms plus every constant), ``nonconstant[i]`` the
-    node's terms minus the constants, ``frontier[i]`` the frontier image of
-    the node's creating step minus the constants, and ``occurrences`` maps
-    each non-constant term to the increasing tuple of nodes containing it.
+    terms(Xi) (the node's terms plus every constant), ``frontier[i]`` the
+    frontier image of the node's creating step minus the constants, and
+    ``occurrences`` maps each non-constant term to the increasing tuple of
+    nodes containing it.
     """
 
     at: tuple[frozenset[Atom], ...]
     constants: frozenset[Constant]
     provenance: tuple[tuple[Rule, Trigger] | None, ...]
     terms: tuple[frozenset[Term], ...]
-    nonconstant: tuple[frozenset[Term], ...]
     frontier: tuple[frozenset[Term], ...]
     occurrences: Mapping[Term, tuple[int, ...]]
 
@@ -66,19 +65,18 @@ class NodeFacts:
         provenance: tuple[tuple[Rule, Trigger] | None, ...],
     ) -> "NodeFacts":
         own = [terms_of(atoms) for atoms in at]
-        nonconstant = tuple(ts - constants for ts in own)
         frontier = tuple(
             frozenset() if prov is None
             else frozenset(prov[1].extension[v] for v in prov[0].frontier) - constants
             for prov in provenance
         )
         occurrences: dict[Term, list[int]] = {}
-        for i, ts in enumerate(nonconstant):
-            for t in ts:
+        for i, ts in enumerate(own):
+            for t in ts - constants:
                 occurrences.setdefault(t, []).append(i)
         return cls(
             at, constants, provenance,
-            tuple(ts | constants for ts in own), nonconstant, frontier,
+            tuple(ts | constants for ts in own), frontier,
             MappingProxyType({t: tuple(nodes) for t, nodes in occurrences.items()}),
         )
 
@@ -129,14 +127,8 @@ class DerivationGraph:
         """terms(Xi) = terms of the node's atoms plus every constant."""
         return self.facts.terms[i]
 
-    def nonconstant_terms(self, i: int) -> frozenset[Term]:
-        return self.facts.nonconstant[i]
-
     def parents(self, k: int) -> tuple[int, ...]:
         return self._parents.get(k, ())
-
-    def children(self, i: int) -> list[int]:
-        return sorted(j for (i2, j) in self.arcs if i2 == i)
 
     def in_degree(self, k: int) -> int:
         return len(self._parents.get(k, ()))

@@ -5,6 +5,12 @@ one of two converging arcs that both carry it.  Cycle removal redirects two
 converging arcs onto a single earlier node whose terms cover both labels.
 All three touch only arcs and labels, never nodes or decorations.
 
+Each operation is defined once: ``_moves`` yields exactly the steps that
+apply to a graph, and each step class rewrites the arcs itself.
+``apply_step`` accepts a step iff ``_moves`` offers it (DECISIONS.md
+section 6), and both search strategies run one depth-first search that
+differs only in the moves it is given.
+
 A graph counts as cycle-free when no node has two incoming arcs: every
 node keeps at most one parent, which makes the underlying undirected graph
 a forest and lets each non-source node inherit its frontier from a single
@@ -15,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Union
+from operator import attrgetter
+from typing import Callable, Iterator, Union
 
-from .derivgraph import DerivationGraph
+from .derivgraph import Arc, DerivationGraph
 from .errors import ResourceLimitError, SideConditionViolatedError
 from .model import Term, term_key
 
@@ -32,6 +39,9 @@ class ArStep:
     def describe(self) -> str:
         return f"ar[{self.i},{self.j}]"
 
+    def rewrite(self, arcs: dict[Arc, frozenset[Term]]) -> None:
+        del arcs[(self.i, self.j)]
+
 
 @dataclass(frozen=True)
 class TrStep:
@@ -42,6 +52,9 @@ class TrStep:
 
     def describe(self) -> str:
         return f"tr[{self.i},{self.j},{self.k},{self.t}]"
+
+    def rewrite(self, arcs: dict[Arc, frozenset[Term]]) -> None:
+        arcs[(self.j, self.k)] = arcs[(self.j, self.k)] - {self.t}
 
 
 @dataclass(frozen=True)
@@ -54,63 +67,80 @@ class CrStep:
     def describe(self) -> str:
         return f"cr[{self.i},{self.j},{self.k},{self.l}]"
 
+    def rewrite(self, arcs: dict[Arc, frozenset[Term]]) -> None:
+        union = arcs.pop((self.i, self.k)) | arcs.pop((self.j, self.k))
+        arcs[(self.l, self.k)] = union  # overwrites any previous label on (l, k)
+
 
 ReductionStep = Union[ArStep, TrStep, CrStep]
 
 
+def _cr_moves(g: DerivationGraph, k: int) -> Iterator[CrStep]:
+    """The cycle removals at convergence point k: parent pairs in order,
+    then witnesses in index order."""
+    arcs = g.arcs
+    terms = g.facts.terms
+    for i, j in combinations(g.parents(k), 2):
+        union = arcs[(i, k)] | arcs[(j, k)]
+        for l in range(k):
+            if union <= terms[l]:
+                yield CrStep(i, j, k, l)
+
+
+def _moves(g: DerivationGraph) -> Iterator[ReductionStep]:
+    """All applicable reduction steps, in a fixed deterministic order: the
+    one definition of when arc, term and cycle removal apply."""
+    arcs = g.arcs
+    for (i, j) in sorted(arc for arc, lbl in arcs.items() if not lbl):
+        yield ArStep(i, j)
+    for k in g.convergence_points():
+        parents = g.parents(k)
+        for i in parents:
+            for j in parents:
+                if i == j:
+                    continue
+                shared = arcs[(i, k)] & arcs[(j, k)]
+                for t in sorted(shared, key=term_key):
+                    yield TrStep(i, j, k, t)
+        yield from _cr_moves(g, k)
+
+
+def _cr_only_moves(g: DerivationGraph) -> Iterator[CrStep]:
+    """At the earliest convergence point, the cycle removal with the
+    smallest witness (the first parent pair among ties), or nothing."""
+    k = g.convergence_points()[0]  # the search never asks a cycle-free graph
+    step = min(_cr_moves(g, k), key=attrgetter("l"), default=None)
+    if step is not None:
+        yield step
+
+
+def _successor(g: DerivationGraph, step: ReductionStep) -> DerivationGraph:
+    arcs = dict(g.arcs)
+    step.rewrite(arcs)
+    return g.with_arcs(arcs)
+
+
+def apply_step(g: DerivationGraph, step: ReductionStep) -> DerivationGraph:
+    """Apply one step; its side condition is that ``_moves(g)`` offers it."""
+    if step not in _moves(g):
+        raise SideConditionViolatedError(f"{step.describe()} does not apply to this graph")
+    return _successor(g, step)
+
+
 def apply_ar(g: DerivationGraph, i: int, j: int) -> DerivationGraph:
     """Remove the arc (Xi, Xj); its label must be empty."""
-    if (i, j) not in g.arcs:
-        raise SideConditionViolatedError(f"ar: no arc ({i},{j})")
-    if g.arcs[(i, j)]:
-        raise SideConditionViolatedError(f"ar: label of ({i},{j}) is not empty")
-    arcs = dict(g.arcs)
-    del arcs[(i, j)]
-    return g.with_arcs(arcs)
+    return apply_step(g, ArStep(i, j))
 
 
 def apply_tr(g: DerivationGraph, i: int, j: int, k: int, t: Term) -> DerivationGraph:
     """Remove term t from the label of (Xj, Xk); (Xi, Xk) must also carry t."""
-    if i == j:
-        raise SideConditionViolatedError("tr: the two parents must be distinct")
-    for arc in ((i, k), (j, k)):
-        if arc not in g.arcs:
-            raise SideConditionViolatedError(f"tr: no arc {arc}")
-    if t not in g.arcs[(i, k)] or t not in g.arcs[(j, k)]:
-        raise SideConditionViolatedError(f"tr: {t} is not shared by both labels")
-    arcs = dict(g.arcs)
-    arcs[(j, k)] = arcs[(j, k)] - {t}
-    return g.with_arcs(arcs)
+    return apply_step(g, TrStep(i, j, k, t))
 
 
 def apply_cr(g: DerivationGraph, i: int, j: int, k: int, l: int) -> DerivationGraph:
     """Replace converging arcs (Xi, Xk), (Xj, Xk) by (Xl, Xk) labeled with
     their union; Xl must be earlier than Xk and its terms must cover the union."""
-    if i == j:
-        raise SideConditionViolatedError("cr: the two converging arcs must be distinct")
-    for arc in ((i, k), (j, k)):
-        if arc not in g.arcs:
-            raise SideConditionViolatedError(f"cr: no arc {arc}")
-    if not 0 <= l < k:
-        raise SideConditionViolatedError(f"cr: witness index {l} is not below {k}")
-    union = g.arcs[(i, k)] | g.arcs[(j, k)]
-    if not union <= g.node_terms(l):
-        raise SideConditionViolatedError(
-            f"cr: label union {set(union)} not covered by terms(X{l})"
-        )
-    arcs = dict(g.arcs)
-    del arcs[(i, k)]
-    del arcs[(j, k)]
-    arcs[(l, k)] = union  # overwrites any previous label on (l, k)
-    return g.with_arcs(arcs)
-
-
-def apply_step(g: DerivationGraph, step: ReductionStep) -> DerivationGraph:
-    if isinstance(step, ArStep):
-        return apply_ar(g, step.i, step.j)
-    if isinstance(step, TrStep):
-        return apply_tr(g, step.i, step.j, step.k, step.t)
-    return apply_cr(g, step.i, step.j, step.k, step.l)
+    return apply_step(g, CrStep(min(i, j), max(i, j), k, l))
 
 
 def is_cycle_free(g: DerivationGraph) -> bool:
@@ -150,63 +180,21 @@ class ReductionTrace:
                 raise ValueError(f"replay diverges after step {p} ({step.describe()})")
 
 
-def _reduce_cr_only(g: DerivationGraph) -> ReductionTrace | None:
-    steps: list[ReductionStep] = []
-    graphs = [g]
-    terms = g.facts.terms
-    while True:
-        points = g.convergence_points()
-        if not points:
-            break
-        k = points[0]
-        unions = [
-            (i, j, g.arcs[(i, k)] | g.arcs[(j, k)])
-            for i, j in combinations(g.parents(k), 2)
-        ]
-        chosen = next(  # smallest witness first
-            (CrStep(i, j, k, l) for l in range(k) for i, j, union in unions
-             if union <= terms[l]),
-            None,
-        )
-        if chosen is None:
-            return None
-        g = apply_cr(g, chosen.i, chosen.j, chosen.k, chosen.l)
-        steps.append(chosen)
-        graphs.append(g)
-    return ReductionTrace(graphs[0], tuple(steps), tuple(graphs))
-
-
-def _moves(g: DerivationGraph) -> Iterator[ReductionStep]:
-    """All applicable reduction steps, in a fixed deterministic order."""
-    arcs = g.arcs
-    terms = g.facts.terms
-    for (i, j) in sorted(arc for arc, lbl in arcs.items() if not lbl):
-        yield ArStep(i, j)
-    for k in g.convergence_points():
-        parents = g.parents(k)
-        for i in parents:
-            for j in parents:
-                if i == j:
-                    continue
-                shared = arcs[(i, k)] & arcs[(j, k)]
-                for t in sorted(shared, key=term_key):
-                    yield TrStep(i, j, k, t)
-        for i, j in combinations(parents, 2):
-            union = arcs[(i, k)] | arcs[(j, k)]
-            for l in range(k):
-                if union <= terms[l]:
-                    yield CrStep(i, j, k, l)
-
-
-def _reduce_full(g: DerivationGraph, max_states: int) -> ReductionTrace | None:
-    """Depth-first search over all reduction sequences, memoized on graph state.
+def _reduce(
+    g: DerivationGraph,
+    moves: Callable[[DerivationGraph], Iterator[ReductionStep]],
+    max_states: int,
+) -> ReductionTrace | None:
+    """Depth-first search over the reduction sequences ``moves`` offers,
+    memoized on graph state.
 
     Every operation strictly shrinks (arc count, total label size)
     lexicographically, so the state space is a finite DAG and plain DFS with
     a visited set is complete.  Exceeding the state budget raises instead of
     reporting irreducibility.  The search keeps an explicit stack, one move
     iterator per graph on the current path, so its depth is not bounded by
-    the interpreter's recursion limit.
+    the interpreter's recursion limit.  Moves come from ``moves`` itself, so
+    they are applied without re-checking their side conditions.
     """
     seen: set[frozenset] = set()
     steps: list[ReductionStep] = []
@@ -225,7 +213,7 @@ def _reduce_full(g: DerivationGraph, max_states: int) -> ReductionTrace | None:
             if len(seen) > max_states:
                 raise ResourceLimitError(f"reduction search exceeded {max_states} states",
                                          budget="reduction-states", limit=max_states)
-            pending.append(_moves(cur))
+            pending.append(moves(cur))
         while pending:
             step = next(pending[-1], None)
             if step is not None:
@@ -237,7 +225,10 @@ def _reduce_full(g: DerivationGraph, max_states: int) -> ReductionTrace | None:
         else:
             return None
         steps.append(step)
-        graphs.append(apply_step(graphs[-1], step))
+        graphs.append(_successor(graphs[-1], step))
+
+
+_STRATEGIES = {"cr-only": _cr_only_moves, "full": _moves}
 
 
 def reduce_graph(
@@ -249,14 +240,14 @@ def reduce_graph(
 
     ``cr-only`` greedily removes the earliest convergence point with the
     smallest admissible witness node.  ``full`` explores all three
-    operations exhaustively and is the ground truth for reducibility; it
-    raises ResourceLimitError rather than misreporting when capped.
+    operations exhaustively and is the ground truth for reducibility.  Both
+    run one search under ``max_states`` and raise ResourceLimitError rather
+    than misreporting when capped; a cr-only run visits at most one state
+    per arc, plus one.
     """
-    if strategy == "cr-only":
-        return _reduce_cr_only(g)
-    if strategy == "full":
-        return _reduce_full(g, max_states)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return _reduce(g, _STRATEGIES[strategy], max_states)
 
 
 @dataclass(frozen=True)

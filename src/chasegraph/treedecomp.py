@@ -28,9 +28,6 @@ class TreeDecomposition:
         """Undirected neighbour lists, built once per decomposition."""
         return adjacency(self.edges, range(len(self.bags)))
 
-    def neighbors(self, i: int) -> list[int]:
-        return sorted(self._adjacency.get(i, ()))
-
     def is_tree(self) -> bool:
         n = len(self.bags)
         return len(self.edges) == n - 1 and len(reachable(self._adjacency, self.root)) == n

@@ -8,8 +8,12 @@ homomorphisms) are the golden objects most tests check against.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+import chasegraph
 from chasegraph.chase import Derivation
 from chasegraph.model import (
     Atom,
@@ -148,3 +152,11 @@ def rename_derivation_nulls(d: Derivation, mapping: dict[Null, Null]) -> Derivat
         for st in d.steps
     )
     return Derivation(rename_inst(d.initial), steps)
+
+
+def subprocess_env(**overrides: str) -> dict[str, str]:
+    """The environment for a child interpreter that imports the package under
+    test: this one's, with the package's parent directory (a checkout's
+    ``src``) first on PYTHONPATH, and the given overrides."""
+    path = [str(Path(chasegraph.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **overrides}

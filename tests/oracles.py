@@ -24,6 +24,9 @@ The graph oracles are the reduction engine's and the graph checks' earlier
 code: they read only a graph's decorations, constants, provenance and arcs,
 recompute every node's term set, parents and frontier on each call, key
 search states by a sorted tuple, and search full reductions recursively.
+The side-condition oracle is the earlier per-operation validation that
+``apply_ar``, ``apply_tr`` and ``apply_cr`` ran before the move generator
+became the only definition of when a step applies.
 """
 
 from __future__ import annotations
@@ -324,6 +327,22 @@ def is_cycle_free_oracle(g) -> bool:
         if indegree[j] > 1:
             return False
     return True
+
+
+def side_condition_oracle(g, step) -> bool:
+    """Whether the earlier ``apply_ar``, ``apply_tr`` and ``apply_cr`` checks
+    accept the step; a cycle removal must also name its converging pair in
+    increasing order, the order ``apply_cr`` puts it in."""
+    arcs = g.arcs
+    if isinstance(step, ArStep):
+        return (step.i, step.j) in arcs and not arcs[(step.i, step.j)]
+    pair = ((step.i, step.k), (step.j, step.k))
+    if step.i == step.j or not all(arc in arcs for arc in pair):
+        return False
+    if isinstance(step, TrStep):
+        return all(step.t in arcs[arc] for arc in pair)
+    return (step.i < step.j and 0 <= step.l < step.k
+            and arcs[pair[0]] | arcs[pair[1]] <= node_terms_oracle(g, step.l))
 
 
 def apply_step_oracle(g, step):

@@ -1,5 +1,4 @@
 import importlib
-import os
 import random
 import subprocess
 import sys
@@ -30,7 +29,7 @@ from chasegraph.randkb import random_kb
 from chasegraph.reduction import reduce_graph
 from chasegraph.render import verdict_json
 
-from conftest import A, X, Y, Z, trace_key
+from conftest import A, X, Y, Z, subprocess_env, trace_key
 from oracles import weak_classify_oracle
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -299,7 +298,7 @@ for cls in ("wgbts", "wcdgs"):
 
 def test_weak_certificates_independent_of_hash_seed():
     def run(seed: str) -> str:
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = subprocess_env(PYTHONHASHSEED=seed)
         proc = subprocess.run(
             [sys.executable, "-c", _DIGEST_SCRIPT, str(SAMPLES / "join.rules")],
             capture_output=True, text=True, env=env, check=True,

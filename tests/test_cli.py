@@ -3,6 +3,7 @@ import json
 import pytest
 
 from chasegraph.cli import main
+from conftest import subprocess_env
 
 JOIN_DOC = """\
 p(a). r(b).
@@ -205,6 +206,25 @@ def test_selfcheck_small_run(capsys):
     assert "0 violations" in out
 
 
+@pytest.mark.parametrize("argv, flag, lowest", [
+    (["classify", "FILE", "--class", "gbts"], "--depth", 1),
+    (["chase", "FILE"], "--depth", 0),
+    (["entail", "FILE", "--query", "q1"], "--depth", 0),
+    (["derivations", "FILE"], "--max-len", 0),
+    (["selfcheck", "--kbs", "1"], "--max-len", 0),
+    (["selfcheck", "--kbs", "1"], "--budget", 1),
+])
+def test_numeric_flags_below_their_minimum_are_usage_errors(
+        join_file, argv, flag, lowest, capsys):
+    argv = [join_file if a == "FILE" else a for a in argv]
+    assert main(argv + [flag, str(lowest)]) in (0, 1)
+    capsys.readouterr()
+    assert main(argv + [flag, str(lowest - 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least {lowest}, got {lowest - 1}" in err
+    assert "Traceback" not in err
+
+
 def test_grd_dot_output(join_file, tmp_path):
     dot_path = tmp_path / "grd.dot"
     assert main(["grd", join_file, "--dot", str(dot_path)]) == 0
@@ -249,26 +269,24 @@ def test_classify_wcdgs_json_carries_reduction_traces(chain_file, capsys):
         assert len(trace["steps"]) == len(w.trace.steps)
 
 
-def test_console_entry_point_subprocess(join_file):
+def _run_cli(*args: str):
+    """Run the CLI in a fresh interpreter."""
     import subprocess, sys
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "chasegraph.cli", "entail", join_file,
-         "--query", "q1", "--depth", "1"],
-        capture_output=True, text=True,
-    )
+    return subprocess.run([sys.executable, "-m", "chasegraph.cli", *args],
+                          capture_output=True, text=True, env=subprocess_env())
+
+
+def test_console_entry_point_subprocess(join_file):
+    proc = _run_cli("entail", join_file, "--query", "q1", "--depth", "1")
     assert proc.returncode == 0
     assert "entailed at depth 1" in proc.stdout
 
 
 def test_derivation_ids_stable_across_processes(chain_file):
-    import subprocess, sys
-
     def run():
-        return subprocess.run(
-            [sys.executable, "-m", "chasegraph.cli", "derivations", chain_file,
-             "--max-len", "3", "--dedup", "mod-nulls"],
-            capture_output=True, text=True,
-        ).stdout
+        return _run_cli("derivations", chain_file, "--max-len", "3", "--dedup", "mod-nulls").stdout
 
-    assert run() == run()
+    first = run()
+    assert first.startswith("0: len=0")
+    assert first == run()

@@ -1,9 +1,10 @@
 """The seeded random-KB generator, and both enumeration streams over its
 corpus, depend on the seed alone."""
 
-import os
 import subprocess
 import sys
+
+from conftest import subprocess_env
 
 _FINGERPRINT_SCRIPT = """
 import hashlib, random
@@ -35,7 +36,7 @@ for dedup in ("none", "traces"):
 
 def test_corpus_fingerprint_independent_of_hash_seed():
     def run(seed: str) -> str:
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = subprocess_env(PYTHONHASHSEED=seed)
         proc = subprocess.run([sys.executable, "-c", _FINGERPRINT_SCRIPT],
                               capture_output=True, text=True, env=env, check=True)
         return proc.stdout

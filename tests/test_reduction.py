@@ -1,6 +1,7 @@
 import random
 import sys
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,7 @@ from chasegraph.model import (
     Rule,
     Substitution,
     Variable,
+    term_key,
 )
 from chasegraph.randkb import random_kb
 from chasegraph.treedecomp import (
@@ -47,6 +49,7 @@ from chasegraph.treedecomp import (
 )
 from conftest import X, Y, chain_nulls
 from oracles import (
+    apply_step_oracle,
     check_decomposition_properties_oracle,
     check_generative_paths_oracle,
     check_prefix_invariants_oracle,
@@ -57,6 +60,7 @@ from oracles import (
     parents_oracle,
     reduce_cr_only_oracle,
     reduce_full_oracle,
+    side_condition_oracle,
     state_key_oracle,
     validate_tree_decomposition_oracle,
 )
@@ -201,6 +205,15 @@ def test_reduce_full_state_cap(join_kb, nongreedy_join_derivation):
     with pytest.raises(ResourceLimitError, match="^reduction search exceeded 2 states$") as exc:
         reduce_graph(g, "full", max_states=2)
     assert (exc.value.budget, exc.value.limit) == ("reduction-states", 2)
+
+
+def test_cr_only_runs_under_the_same_state_budget(golden):
+    # the cr-only trace takes two steps from a graph that is not cycle-free,
+    # so it visits two such states
+    g, *_ = golden
+    assert len(reduce_graph(g, "cr-only", max_states=2).steps) == 2
+    with pytest.raises(ResourceLimitError, match="^reduction search exceeded 1 states$"):
+        reduce_graph(g, "cr-only", max_states=1)
 
 
 def test_reductions_only_touch_arcs(golden):
@@ -407,3 +420,70 @@ def test_reductions_and_checks_match_the_oracles_on_random_graphs():
         _checks_match_the_oracles(g, (cr_only, full), Instance(frozenset().union(*g.at)), kb)
         backtracked += full is not None and states > len(full.steps)
     assert backtracked > 0
+
+
+def _candidate_steps(g: DerivationGraph) -> list:
+    """Every ar, tr and cr step over the indices range(len(g) + 1), with the
+    terms of the labels plus one null that occurs nowhere in the graph."""
+    idx = range(len(g) + 1)
+    absent = Null(10**9)
+    assert all(absent not in g.node_terms(n) for n in g.nodes)
+    terms = sorted(frozenset().union(*g.arcs.values()), key=term_key) + [absent]
+    return ([ArStep(i, j) for i, j in product(idx, repeat=2)]
+            + [TrStep(i, j, k, t) for i, j, k in product(idx, repeat=3) for t in terms]
+            + [CrStep(i, j, k, l) for i, j, k, l in product(idx, repeat=4)])
+
+
+def _steps_match_the_oracles(g: DerivationGraph) -> set[type]:
+    """Check apply_step on every candidate step against the side-condition
+    and rewrite oracles; return the step types it accepted."""
+    accepted = set()
+    for step in _candidate_steps(g):
+        legal = side_condition_oracle(g, step)
+        try:
+            reduced = apply_step(g, step)
+        except SideConditionViolatedError as exc:
+            assert not legal, step
+            assert step.describe() in str(exc)
+        else:
+            assert legal, step
+            assert reduced.arcs == apply_step_oracle(g, step).arcs
+            accepted.add(type(step))
+    return accepted
+
+
+def test_apply_step_accepts_exactly_the_oracle_steps(golden):
+    g, *_ = golden
+    accepted = _steps_match_the_oracles(g)
+    kb = parse_document((SAMPLES / "join.rules").read_text()).knowledge_base()
+    graphs = 0
+    for d in enumerate_derivations(kb.database, kb.rules, 4, dedup="traces"):
+        trace = reduce_graph(build_derivation_graph(d, kb), "full")
+        for h in trace.graphs if trace else ():
+            accepted |= _steps_match_the_oracles(h)
+            graphs += 1
+    assert graphs > 50
+    assert accepted == {ArStep, TrStep, CrStep}
+
+
+def test_apply_step_accepts_exactly_the_oracle_steps_on_random_graphs():
+    rng = random.Random(4015)
+    accepted = set()
+    for _ in range(60):
+        accepted |= _steps_match_the_oracles(_random_graph(rng))
+    assert accepted == {ArStep, TrStep, CrStep}
+
+
+def test_apply_cr_ignores_the_order_of_the_pair(golden):
+    g, *_ = golden
+    legal = 0
+    for i, j, k, l in product(range(len(g) + 1), repeat=4):
+        try:
+            forward = apply_cr(g, i, j, k, l)
+        except SideConditionViolatedError:
+            with pytest.raises(SideConditionViolatedError):
+                apply_cr(g, j, i, k, l)
+            continue
+        assert apply_cr(g, j, i, k, l).arcs == forward.arcs
+        legal += 1
+    assert legal > 0
