@@ -84,22 +84,36 @@ class NodeFacts:
 class DerivationGraph:
     """Decorated DAG over derivation steps; arcs always point forward.
 
-    Node facts are shared with every reduced copy; the parent index is
-    computed once per graph from its own arcs.
+    Node facts are shared with every reduced copy; the parent index and
+    the convergence points are computed once per graph from its own arcs.
     """
 
-    __slots__ = ("facts", "arcs", "_parents")
+    __slots__ = ("facts", "arcs", "_parents", "_points")
 
     def __init__(self, facts: NodeFacts, arcs: dict[Arc, frozenset[Term]]):
         n = len(facts.at)
-        parents: dict[int, list[int]] = {}
         for (i, j) in sorted(arcs):
             if not 0 <= i < j < n:
                 raise ValueError(f"arc ({i},{j}) violates forward orientation")
+        self._index(facts, dict(arcs))
+
+    @classmethod
+    def _of(cls, facts: NodeFacts, arcs: dict[Arc, frozenset[Term]]) -> "DerivationGraph":
+        """Take ownership of an arc map known to point forward, without
+        re-checking it: the reduction search builds every graph it visits
+        this way from a checked one."""
+        g = object.__new__(cls)
+        g._index(facts, arcs)
+        return g
+
+    def _index(self, facts: NodeFacts, arcs: dict[Arc, frozenset[Term]]) -> None:
+        parents: dict[int, list[int]] = {}
+        for (i, j) in sorted(arcs):
             parents.setdefault(j, []).append(i)
         self.facts = facts
-        self.arcs = dict(arcs)
+        self.arcs = arcs
         self._parents = {j: tuple(ps) for j, ps in parents.items()}
+        self._points = tuple(sorted(j for j, ps in parents.items() if len(ps) > 1))
 
     @property
     def at(self) -> tuple[frozenset[Atom], ...]:
@@ -133,12 +147,9 @@ class DerivationGraph:
     def in_degree(self, k: int) -> int:
         return len(self._parents.get(k, ()))
 
-    def convergence_points(self) -> list[int]:
+    def convergence_points(self) -> tuple[int, ...]:
         """Nodes with two or more incoming arcs, in index order."""
-        return sorted(k for k, ps in self._parents.items() if len(ps) > 1)
-
-    def with_arcs(self, arcs: dict[Arc, frozenset[Term]]) -> "DerivationGraph":
-        return DerivationGraph(self.facts, arcs)
+        return self._points
 
     def state_key(self) -> frozenset:
         """Hashable encoding of the arc structure, for memoized search.
@@ -258,8 +269,6 @@ def check_decomposition_properties(
     3. for every null, the nodes containing it induce a connected subgraph;
     4. every node's term count respects the KB-size bound.
     """
-    from .treedecomp import width_bound  # local import to avoid a cycle
-
     facts = g.facts
     failures: list[str] = []
     covered = frozenset.union(*facts.terms)
@@ -281,7 +290,7 @@ def check_decomposition_properties(
             connected = False
             failures.append(f"occurrence subgraph for {x} is disconnected")
 
-    bound = width_bound(kb)
+    bound = kb.width_bound
     oversized = [i for i, ts in enumerate(facts.terms) if len(ts) > bound]
     bounded = not oversized
     if oversized:

@@ -330,6 +330,14 @@ class KnowledgeBase:
             cs |= r.constants()
         return frozenset(cs)
 
+    @cached_property
+    def width_bound(self) -> int:
+        """Uniform bound on node term counts: the larger of the database's
+        term count and any rule head's term count, plus the number of KB
+        constants; computed once per KB."""
+        head_sizes = [len({t for a in r.head for t in a.args}) for r in self.rules]
+        return max([len(self.database.terms())] + head_sizes) + len(self.constants)
+
     def rule_by_id(self, rid: str) -> Rule:
         for r in self.rules:
             if r.rid == rid:

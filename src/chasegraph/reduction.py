@@ -9,7 +9,10 @@ Each operation is defined once: ``_moves`` yields exactly the steps that
 apply to a graph, and each step class rewrites the arcs itself.
 ``apply_step`` accepts a step iff ``_moves`` offers it (DECISIONS.md
 section 6), and both search strategies run one depth-first search that
-differs only in the moves it is given.
+differs only in the moves it is given.  Every move reads and rewrites the
+arcs into one node only, so the full search decides reducibility one
+convergence point at a time and expands no state from which a cycle-free
+graph is out of reach (DECISIONS.md section 7).
 
 A graph counts as cycle-free when no node has two incoming arcs: every
 node keeps at most one parent, which makes the underlying undirected graph
@@ -117,7 +120,7 @@ def _cr_only_moves(g: DerivationGraph) -> Iterator[CrStep]:
 def _successor(g: DerivationGraph, step: ReductionStep) -> DerivationGraph:
     arcs = dict(g.arcs)
     step.rewrite(arcs)
-    return g.with_arcs(arcs)
+    return DerivationGraph._of(g.facts, arcs)
 
 
 def apply_step(g: DerivationGraph, step: ReductionStep) -> DerivationGraph:
@@ -180,21 +183,67 @@ class ReductionTrace:
                 raise ValueError(f"replay diverges after step {p} ({step.describe()})")
 
 
+class _StateBudget:
+    """The states one ``reduce_graph`` call may visit, across its walk and
+    every local decision it makes."""
+
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self) -> None:
+        self.used += 1
+        if self.used > self.limit:
+            raise ResourceLimitError(f"reduction search exceeded {self.limit} states",
+                                     budget="reduction-states", limit=self.limit)
+
+
+def _liveness(budget: _StateBudget) -> Callable[[DerivationGraph], bool]:
+    """A test for whether a cycle-free graph is reachable from a graph.
+
+    Each convergence point is decided alone, by the plain search over the
+    graph restricted to the arcs into it (DECISIONS.md section 7).  The
+    answers are memoized on those arcs, so every graph asked about must
+    share one ``NodeFacts``; a local trace also marks each graph on it as
+    reducible.  The local searches spend ``budget``.
+    """
+    decided: dict[frozenset, bool] = {}
+
+    def reducible_at(g: DerivationGraph, k: int) -> bool:
+        into = {(i, k): g.arcs[(i, k)] for i in g.parents(k)}
+        key = frozenset(into.items())
+        ok = decided.get(key)
+        if ok is None:
+            trace = _reduce(DerivationGraph._of(g.facts, into), _moves, budget)
+            for h in trace.graphs if trace else ():
+                decided[h.state_key()] = True
+            ok = decided[key] = trace is not None
+        return ok
+
+    return lambda g: all(reducible_at(g, k) for k in g.convergence_points())
+
+
 def _reduce(
     g: DerivationGraph,
     moves: Callable[[DerivationGraph], Iterator[ReductionStep]],
-    max_states: int,
+    budget: _StateBudget,
+    live: Callable[[DerivationGraph], bool] | None = None,
 ) -> ReductionTrace | None:
     """Depth-first search over the reduction sequences ``moves`` offers,
     memoized on graph state.
 
     Every operation strictly shrinks (arc count, total label size)
     lexicographically, so the state space is a finite DAG and plain DFS with
-    a visited set is complete.  Exceeding the state budget raises instead of
-    reporting irreducibility.  The search keeps an explicit stack, one move
-    iterator per graph on the current path, so its depth is not bounded by
-    the interpreter's recursion limit.  Moves come from ``moves`` itself, so
-    they are applied without re-checking their side conditions.
+    a visited set is complete.  Each distinct state visited spends one unit
+    of ``budget``; running out raises instead of reporting irreducibility.
+    A state that ``live`` rejects gets no moves: no cycle-free graph is
+    reachable from it, so the first trace found is the same.  The search
+    keeps an explicit stack, one move iterator per graph on the current
+    path, so its depth is not bounded by the interpreter's recursion limit.
+    Moves come from ``moves`` itself, so they are applied without
+    re-checking their side conditions.
     """
     seen: set[frozenset] = set()
     steps: list[ReductionStep] = []
@@ -210,10 +259,8 @@ def _reduce(
             graphs.pop()
         else:
             seen.add(key)
-            if len(seen) > max_states:
-                raise ResourceLimitError(f"reduction search exceeded {max_states} states",
-                                         budget="reduction-states", limit=max_states)
-            pending.append(moves(cur))
+            budget.spend()
+            pending.append(moves(cur) if live is None or live(cur) else iter(()))
         while pending:
             step = next(pending[-1], None)
             if step is not None:
@@ -240,14 +287,21 @@ def reduce_graph(
 
     ``cr-only`` greedily removes the earliest convergence point with the
     smallest admissible witness node.  ``full`` explores all three
-    operations exhaustively and is the ground truth for reducibility.  Both
-    run one search under ``max_states`` and raise ResourceLimitError rather
-    than misreporting when capped; a cr-only run visits at most one state
+    operations and is the ground truth for reducibility: it first decides
+    each convergence point on its own, and expands only states from which
+    a cycle-free graph is reachable, so it returns the first trace of the
+    exhaustive depth-first search without backtracking, and stops at the
+    root of an irreducible graph.  ``max_states`` bounds the distinct
+    states visited by the search and, for ``full``, by the per-point
+    decisions together; both strategies raise ResourceLimitError rather
+    than misreporting when capped.  A cr-only run visits at most one state
     per arc, plus one.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _reduce(g, _STRATEGIES[strategy], max_states)
+    budget = _StateBudget(max_states)
+    live = _liveness(budget) if strategy == "full" else None
+    return _reduce(g, _STRATEGIES[strategy], budget, live)
 
 
 @dataclass(frozen=True)

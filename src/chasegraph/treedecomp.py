@@ -85,8 +85,5 @@ def validate_tree_decomposition(td: TreeDecomposition, instance: Instance) -> bo
 
 
 def width_bound(kb: KnowledgeBase) -> int:
-    """Uniform bound on node term counts: the larger of the database's term
-    count and any rule head's term count, plus the number of KB constants."""
-    head_sizes = [len({t for a in r.head for t in a.args}) for r in kb.rules]
-    base = max([len(kb.database.terms())] + head_sizes)
-    return base + len(kb.constants)
+    """Uniform bound on node term counts (``KnowledgeBase.width_bound``)."""
+    return kb.width_bound

@@ -43,7 +43,7 @@ from chasegraph.classify import (
     GroupWitness,
     Refutation,
 )
-from chasegraph.derivgraph import DecompositionReport, build_derivation_graph
+from chasegraph.derivgraph import DecompositionReport, DerivationGraph, build_derivation_graph
 from chasegraph.errors import ResourceLimitError
 from chasegraph.model import (
     Atom,
@@ -355,7 +355,7 @@ def apply_step_oracle(g, step):
     else:
         union = arcs.pop((step.i, step.k)) | arcs.pop((step.j, step.k))
         arcs[(step.l, step.k)] = union
-    return g.with_arcs(arcs)
+    return DerivationGraph(g.facts, arcs)
 
 
 def moves_oracle(g):

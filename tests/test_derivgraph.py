@@ -2,6 +2,7 @@ import pytest
 
 from chasegraph.chase import Derivation, enumerate_derivations
 from chasegraph.derivgraph import (
+    DerivationGraph,
     build_derivation_graph,
     check_decomposition_properties,
     check_generative_paths,
@@ -71,6 +72,14 @@ def test_labels_within_source_terms_and_forward_arcs(chain_kb, chain_derivation)
     for (i, j), lbl in g.arcs.items():
         assert i < j
         assert lbl <= g.node_terms(i)
+
+
+def test_constructor_rejects_arcs_that_do_not_point_forward(chain_kb, chain_derivation):
+    g = build_derivation_graph(chain_derivation, chain_kb)
+    assert DerivationGraph(g.facts, g.arcs).arcs == g.arcs
+    for bad in ((3, 1), (2, 2), (4, 5), (-1, 2)):
+        with pytest.raises(ValueError, match="violates forward orientation"):
+            DerivationGraph(g.facts, {**g.arcs, bad: frozenset()})
 
 
 def test_generative_nodes(chain_kb, chain_derivation):

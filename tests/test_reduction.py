@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from chasegraph import reduction
 from chasegraph.chase import Derivation, Trigger, enumerate_derivations
 from chasegraph.derivgraph import (
     DerivationGraph,
@@ -54,6 +55,8 @@ from oracles import (
     check_generative_paths_oracle,
     check_prefix_invariants_oracle,
     extract_tree_decomposition_oracle,
+    in_degree_oracle,
+    moves_oracle,
     node_frontier_oracle,
     node_terms_oracle,
     nonconstant_terms_oracle,
@@ -200,11 +203,45 @@ def test_greedy_iff_reducible_exhaustive_on_join_kb(join_kb):
     assert nongreedy_seen > 0  # the crossing join occurs from length 3 on
 
 
-def test_reduce_full_state_cap(join_kb, nongreedy_join_derivation):
-    g = build_derivation_graph(nongreedy_join_derivation, join_kb)
-    with pytest.raises(ResourceLimitError, match="^reduction search exceeded 2 states$") as exc:
-        reduce_graph(g, "full", max_states=2)
-    assert (exc.value.budget, exc.value.limit) == ("reduction-states", 2)
+def test_reduce_full_state_cap(golden, join_kb, nongreedy_join_derivation):
+    # the nongreedy join graph: deciding its one convergence point X4 visits
+    # one state (no move applies there), then the search visits the dead
+    # root; the golden graph: deciding X3 visits two states and X4 one, and
+    # the search visits the four graphs of its trace before the last
+    nongreedy = build_derivation_graph(nongreedy_join_derivation, join_kb)
+    for g, n, complete in ((nongreedy, 2, False), (golden[0], 7, True)):
+        assert (reduce_graph(g, "full", max_states=n) is not None) == complete
+        with pytest.raises(ResourceLimitError,
+                           match=f"^reduction search exceeded {n - 1} states$") as exc:
+            reduce_graph(g, "full", max_states=n - 1)
+        assert (exc.value.budget, exc.value.limit) == ("reduction-states", n - 1)
+
+
+def test_irreducible_graphs_are_decided_without_exhaustive_search():
+    # on every irreducible graph of a maximal chain d5 derivation, the full
+    # search fits a budget of one walk state (the root) plus the states of
+    # its local decisions: those of each convergence point in order, up to
+    # the first one that cannot be reduced alone
+    kb = parse_document((SAMPLES / "chain.rules").read_text()).knowledge_base()
+    irreducible = 0
+    for d in enumerate_derivations(kb.database, kb.rules, 5):
+        if len(d) < 5:
+            continue
+        g = build_derivation_graph(d, kb)
+        old, states = reduce_full_oracle(g)
+        if old is not None:
+            continue
+        local = 0
+        for k in (k for k in g.nodes if in_degree_oracle(g, k) > 1):
+            into = {(i, k): g.arcs[(i, k)] for i in parents_oracle(g, k)}
+            trace, n = reduce_full_oracle(DerivationGraph(g.facts, into))
+            local += n
+            if trace is None:
+                break
+        assert reduce_graph(g, "full", max_states=1 + local) is None
+        assert states > 1 + local  # an exhaustive search would not fit
+        irreducible += 1
+    assert irreducible > 0
 
 
 def test_cr_only_runs_under_the_same_state_budget(golden):
@@ -317,19 +354,45 @@ def _same_trace(new, old):
     )
 
 
+def _full_search_expanding(g):
+    """(full trace, the graphs the full search gave moves to, in order)."""
+    expanded = []
+
+    def moves(h):
+        expanded.append(h)
+        return reduction._moves(h)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(reduction._STRATEGIES, "full", moves)
+        return reduce_graph(g, "full"), expanded
+
+
+def _liveness_matches_the_oracle(graphs) -> set[bool]:
+    """Check the liveness test against exhaustive search on graphs that
+    share one graph's node facts; return the answers seen."""
+    live = reduction._liveness(reduction._StateBudget(reduction.DEFAULT_MAX_STATES))
+    answers = set()
+    for h in graphs:
+        reducible = reduce_full_oracle(h)[0] is not None
+        assert live(h) == reducible
+        answers.add(reducible)
+    return answers
+
+
 def _reductions_match_the_oracles(g):
-    """(cr-only trace, full trace, states the full search visits), after
-    checking both searches against the oracles."""
+    """(cr-only trace, full trace, states the exhaustive oracle search
+    visits), after checking both searches and the liveness test against
+    the oracles."""
     cr_only = reduce_graph(g, "cr-only")
     assert _same_trace(cr_only, reduce_cr_only_oracle(g))
     old, states = reduce_full_oracle(g)
-    # the search visits exactly as many states as the oracle: it fits a
-    # budget of that many and trips on one fewer
-    full = reduce_graph(g, "full", max_states=states)
+    full, expanded = _full_search_expanding(g)
     assert _same_trace(full, old)
-    if states:
-        with pytest.raises(ResourceLimitError):
-            reduce_graph(g, "full", max_states=states - 1)
+    # it never backtracks: it expands the graphs of its trace but the last,
+    # and gives the root of an irreducible graph no moves
+    assert [h.arcs for h in expanded] == [h.arcs for h in (full.graphs[:-1] if full else ())]
+    _liveness_matches_the_oracle(
+        [g] + [h for t in (cr_only, full) if t is not None for h in t.graphs[1:]])
     return cr_only, full, states
 
 
@@ -387,7 +450,8 @@ def test_state_keys_agree_with_the_sorted_tuple_keys():
 def _random_graph(rng: random.Random) -> DerivationGraph:
     """A small graph with random decorations, frontiers, arcs and labels over
     four nulls; the labels need not respect the decorations, so the checks
-    meet failures and the full search meets dead ends it must backtrack from."""
+    meet failures and the exhaustive search meets dead ends that the pruned
+    full search must skip."""
     nulls = [Null(900_000 + i) for i in range(4)]
     fr_vars = [Variable(f"F{i}") for i in range(4)]
     n = rng.randint(3, 5)
@@ -413,13 +477,16 @@ def test_reductions_and_checks_match_the_oracles_on_random_graphs():
     rng = random.Random(4014)
     kb = KnowledgeBase(Instance(), (Rule("w", frozenset({Atom("q", (X,))}),
                                          frozenset({Atom("q", (X, Y))})),))
-    backtracked = 0
+    backtracked, answers = 0, set()
     for _ in range(300):
         g = _random_graph(rng)
         cr_only, full, states = _reductions_match_the_oracles(g)
+        answers |= _liveness_matches_the_oracle(
+            [apply_step_oracle(g, step) for step in moves_oracle(g)])
         _checks_match_the_oracles(g, (cr_only, full), Instance(frozenset().union(*g.at)), kb)
         backtracked += full is not None and states > len(full.steps)
-    assert backtracked > 0
+    assert backtracked > 0  # graphs where the oracle backtracks and the search does not
+    assert answers == {True, False}  # successors of a root are met live and dead
 
 
 def _candidate_steps(g: DerivationGraph) -> list:

@@ -86,6 +86,7 @@ def test_disconnected_occurrence_fails():
 def test_width_bounds(chain_kb, join_kb):
     assert width_bound(chain_kb) == 5  # max(2, 3) + 2
     assert width_bound(join_kb) == 8  # max(2, 6) + 2
+    assert (chain_kb.width_bound, join_kb.width_bound) == (5, 8)
     empty_rules = KnowledgeBase(
         Instance({Atom("p", (A, B)), Atom("p", (B, Constant("c")))}), ()
     )
