@@ -37,7 +37,6 @@ from .model import (
     nulls_of,
     term_key,
     terms_of,
-    variables_of,
 )
 
 DEFAULT_MAX_ATOMS = 10**5
@@ -152,8 +151,6 @@ def _step(prev: Instance, r: Rule, hom: Substitution) -> DerivationStep:
     ext = _extension(r, hom)
     image = ext.mapping.get
     head = frozenset(Atom(a.pred, tuple(map(image, a.args, a.args))) for a in r.head)
-    if variables_of(head):
-        raise ValueError(f"{r.rid}: head image {set(head)} contains variables")
     return DerivationStep(r, Trigger(r.rid, hom, ext), head - prev.atoms)
 
 

@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("greedy-check", help="greediness verdicts for derivations")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--derivation", type=int)
+    group.add_argument("--derivation", type=_int_at_least(0))
     group.add_argument("--all", action="store_true")
     _add_selection_flags(p)
     p.add_argument("--json", action="store_true")
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="derivation graph of one derivation")
     p.add_argument("file")
-    p.add_argument("--derivation", type=int, required=True)
+    p.add_argument("--derivation", type=_int_at_least(0), required=True)
     _add_selection_flags(p)
     p.add_argument("--dot", help="write DOT here instead of stdout")
     p.add_argument("--json", action="store_true")
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="search a complete reduction sequence")
     p.add_argument("file")
-    p.add_argument("--derivation", type=int, required=True)
+    p.add_argument("--derivation", type=_int_at_least(0), required=True)
     p.add_argument("--strategy", choices=["cr-only", "full"], default="cr-only")
     _add_selection_flags(p)
     p.add_argument("--trace", help="write the reduction trace as JSON")
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("treedecomp", help="tree decomposition via reduction")
     p.add_argument("file")
-    p.add_argument("--derivation", type=int, required=True)
+    p.add_argument("--derivation", type=_int_at_least(0), required=True)
     p.add_argument("--strategy", choices=["cr-only", "full"], default="cr-only")
     _add_selection_flags(p)
     p.add_argument("--dot")
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selfcheck",
                        help="randomized greediness/reducibility agreement check")
-    p.add_argument("--kbs", type=int, default=100)
+    p.add_argument("--kbs", type=_int_at_least(0), default=100)
     p.add_argument("--max-len", type=_int_at_least(0), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=_int_at_least(1), default=2000,

@@ -272,7 +272,8 @@ def check_decomposition_properties(
     facts = g.facts
     failures: list[str] = []
     covered = frozenset.union(*facts.terms)
-    want = final.terms() | g.constants
+    terms = final.terms()
+    want = terms | g.constants
     term_cover = covered == want
     if not term_cover:
         failures.append(f"term cover: {covered ^ want} mismatched")
@@ -284,7 +285,7 @@ def check_decomposition_properties(
 
     connected = True
     undirected = adjacency(g.arcs, g.nodes)
-    for x in sorted(final.nulls(), key=term_key):
+    for x in sorted((t for t in terms if isinstance(t, Null)), key=term_key):
         members = set(facts.occurrences.get(x, ()))
         if members and reachable(undirected, min(members), members) != members:
             connected = False

@@ -9,10 +9,10 @@ Each operation is defined once: ``_moves`` yields exactly the steps that
 apply to a graph, and each step class rewrites the arcs itself.
 ``apply_step`` accepts a step iff ``_moves`` offers it (DECISIONS.md
 section 6), and both search strategies run one depth-first search that
-differs only in the moves it is given.  Every move reads and rewrites the
-arcs into one node only, so the full search decides reducibility one
-convergence point at a time and expands no state from which a cycle-free
-graph is out of reach (DECISIONS.md section 7).
+differs only in the moves function each builds per call.  Every move reads
+and rewrites the arcs into one node only, so the full search decides
+reducibility one convergence point at a time and then walks along the
+local traces it found, without backtracking (DECISIONS.md section 7).
 
 A graph counts as cycle-free when no node has two incoming arcs: every
 node keeps at most one parent, which makes the underlying undirected graph
@@ -76,6 +76,7 @@ class CrStep:
 
 
 ReductionStep = Union[ArStep, TrStep, CrStep]
+_Moves = Callable[[DerivationGraph], Iterator[ReductionStep]]
 
 
 def _cr_moves(g: DerivationGraph, k: int) -> Iterator[CrStep]:
@@ -200,36 +201,10 @@ class _StateBudget:
                                      budget="reduction-states", limit=self.limit)
 
 
-def _liveness(budget: _StateBudget) -> Callable[[DerivationGraph], bool]:
-    """A test for whether a cycle-free graph is reachable from a graph.
-
-    Each convergence point is decided alone, by the plain search over the
-    graph restricted to the arcs into it (DECISIONS.md section 7).  The
-    answers are memoized on those arcs, so every graph asked about must
-    share one ``NodeFacts``; a local trace also marks each graph on it as
-    reducible.  The local searches spend ``budget``.
-    """
-    decided: dict[frozenset, bool] = {}
-
-    def reducible_at(g: DerivationGraph, k: int) -> bool:
-        into = {(i, k): g.arcs[(i, k)] for i in g.parents(k)}
-        key = frozenset(into.items())
-        ok = decided.get(key)
-        if ok is None:
-            trace = _reduce(DerivationGraph._of(g.facts, into), _moves, budget)
-            for h in trace.graphs if trace else ():
-                decided[h.state_key()] = True
-            ok = decided[key] = trace is not None
-        return ok
-
-    return lambda g: all(reducible_at(g, k) for k in g.convergence_points())
-
-
 def _reduce(
     g: DerivationGraph,
-    moves: Callable[[DerivationGraph], Iterator[ReductionStep]],
+    moves: _Moves,
     budget: _StateBudget,
-    live: Callable[[DerivationGraph], bool] | None = None,
 ) -> ReductionTrace | None:
     """Depth-first search over the reduction sequences ``moves`` offers,
     memoized on graph state.
@@ -238,12 +213,10 @@ def _reduce(
     lexicographically, so the state space is a finite DAG and plain DFS with
     a visited set is complete.  Each distinct state visited spends one unit
     of ``budget``; running out raises instead of reporting irreducibility.
-    A state that ``live`` rejects gets no moves: no cycle-free graph is
-    reachable from it, so the first trace found is the same.  The search
-    keeps an explicit stack, one move iterator per graph on the current
-    path, so its depth is not bounded by the interpreter's recursion limit.
-    Moves come from ``moves`` itself, so they are applied without
-    re-checking their side conditions.
+    The search keeps an explicit stack, one move iterator per graph on the
+    current path, so its depth is not bounded by the interpreter's
+    recursion limit.  Moves come from ``moves`` itself, so they are applied
+    without re-checking their side conditions.
     """
     seen: set[frozenset] = set()
     steps: list[ReductionStep] = []
@@ -260,7 +233,7 @@ def _reduce(
         else:
             seen.add(key)
             budget.spend()
-            pending.append(moves(cur) if live is None or live(cur) else iter(()))
+            pending.append(moves(cur))
         while pending:
             step = next(pending[-1], None)
             if step is not None:
@@ -275,7 +248,36 @@ def _reduce(
         graphs.append(_successor(graphs[-1], step))
 
 
-_STRATEGIES = {"cr-only": _cr_only_moves, "full": _moves}
+def _walk_moves(g: DerivationGraph, budget: _StateBudget) -> _Moves:
+    """The moves of a walk along each convergence point's local trace.
+
+    Each point of ``g`` is decided alone, in index order, by the plain
+    search over the arcs into it, spending ``budget``.  If one is
+    irreducible, no graph gets a move; otherwise a graph gets the first
+    move of ``_moves`` that is its point's next local step or an ar at a
+    node with one parent, which is its first move whose successor is
+    reducible (DECISIONS.md section 7).
+    """
+    local: dict[frozenset, ReductionStep] = {}  # arcs into a point -> its next step
+    for k in g.convergence_points():
+        into = {(i, k): g.arcs[(i, k)] for i in g.parents(k)}
+        trace = _reduce(DerivationGraph._of(g.facts, into), _moves, budget)
+        if trace is None:
+            return lambda h: iter(())
+        local.update(zip((h.state_key() for h in trace.graphs), trace.steps))
+
+    def moves(h: DerivationGraph) -> Iterator[ReductionStep]:
+        for step in _moves(h):
+            k = step.j if type(step) is ArStep else step.k
+            into = frozenset([((i, k), h.arcs[(i, k)]) for i in h.parents(k)])
+            if len(into) == 1 or local[into] == step:
+                yield step
+                return
+
+    return moves
+
+
+_STRATEGIES = {"cr-only": lambda g, budget: _cr_only_moves, "full": _walk_moves}
 
 
 def reduce_graph(
@@ -288,20 +290,18 @@ def reduce_graph(
     ``cr-only`` greedily removes the earliest convergence point with the
     smallest admissible witness node.  ``full`` explores all three
     operations and is the ground truth for reducibility: it first decides
-    each convergence point on its own, and expands only states from which
-    a cycle-free graph is reachable, so it returns the first trace of the
-    exhaustive depth-first search without backtracking, and stops at the
-    root of an irreducible graph.  ``max_states`` bounds the distinct
-    states visited by the search and, for ``full``, by the per-point
-    decisions together; both strategies raise ResourceLimitError rather
-    than misreporting when capped.  A cr-only run visits at most one state
-    per arc, plus one.
+    each convergence point on its own, then walks along the local traces
+    it found, so it returns the first trace of the exhaustive depth-first
+    search without backtracking, and stops at the root of an irreducible
+    graph.  ``max_states`` bounds the distinct states visited by the
+    search and, for ``full``, by the per-point decisions together; both
+    strategies raise ResourceLimitError rather than misreporting when
+    capped.  A cr-only run visits at most one state per arc, plus one.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     budget = _StateBudget(max_states)
-    live = _liveness(budget) if strategy == "full" else None
-    return _reduce(g, _STRATEGIES[strategy], budget, live)
+    return _reduce(g, _STRATEGIES[strategy](g, budget), budget)
 
 
 @dataclass(frozen=True)

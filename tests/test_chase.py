@@ -48,8 +48,10 @@ def test_apply_rule_creates_fresh_nulls(join_kb):
 
 
 def test_apply_rule_not_triggered(join_kb):
-    with pytest.raises(NotTriggeredError):
-        apply_rule(join_kb.database, join_kb.rule_by_id("r1"), Substitution({X: B}))
+    r1 = join_kb.rule_by_id("r1")
+    for image in (B, Variable("V")):
+        with pytest.raises(NotTriggeredError):
+            apply_rule(join_kb.database, r1, Substitution({X: image}))
 
 
 def test_apply_rule_set_union_when_head_present():

@@ -213,6 +213,11 @@ def test_selfcheck_small_run(capsys):
     (["derivations", "FILE"], "--max-len", 0),
     (["selfcheck", "--kbs", "1"], "--max-len", 0),
     (["selfcheck", "--kbs", "1"], "--budget", 1),
+    (["selfcheck", "--max-len", "1"], "--kbs", 0),
+    (["graph", "FILE"], "--derivation", 0),
+    (["reduce", "FILE"], "--derivation", 0),
+    (["treedecomp", "FILE"], "--derivation", 0),
+    (["greedy-check", "FILE"], "--derivation", 0),
 ])
 def test_numeric_flags_below_their_minimum_are_usage_errors(
         join_file, argv, flag, lowest, capsys):

@@ -357,32 +357,39 @@ def _same_trace(new, old):
 def _full_search_expanding(g):
     """(full trace, the graphs the full search gave moves to, in order)."""
     expanded = []
+    walk_moves = reduction._STRATEGIES["full"]
 
-    def moves(h):
-        expanded.append(h)
-        return reduction._moves(h)
+    def recording(root, budget):
+        moves = walk_moves(root, budget)
+
+        def recorded(h):
+            steps = list(moves(h))
+            if steps:
+                expanded.append(h)
+            return iter(steps)
+
+        return recorded
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(reduction._STRATEGIES, "full", moves)
+        mp.setitem(reduction._STRATEGIES, "full", recording)
         return reduce_graph(g, "full"), expanded
 
 
-def _liveness_matches_the_oracle(graphs) -> set[bool]:
-    """Check the liveness test against exhaustive search on graphs that
-    share one graph's node facts; return the answers seen."""
-    live = reduction._liveness(reduction._StateBudget(reduction.DEFAULT_MAX_STATES))
+def _reducibility_matches_the_oracle(graphs) -> set[bool]:
+    """Check the full search's verdict against exhaustive search on each
+    graph; return the answers seen."""
     answers = set()
     for h in graphs:
         reducible = reduce_full_oracle(h)[0] is not None
-        assert live(h) == reducible
+        assert (reduce_graph(h, "full") is not None) == reducible
         answers.add(reducible)
     return answers
 
 
 def _reductions_match_the_oracles(g):
     """(cr-only trace, full trace, states the exhaustive oracle search
-    visits), after checking both searches and the liveness test against
-    the oracles."""
+    visits), after checking both searches and the full search's verdict on
+    every graph of both traces against the oracles."""
     cr_only = reduce_graph(g, "cr-only")
     assert _same_trace(cr_only, reduce_cr_only_oracle(g))
     old, states = reduce_full_oracle(g)
@@ -391,7 +398,7 @@ def _reductions_match_the_oracles(g):
     # it never backtracks: it expands the graphs of its trace but the last,
     # and gives the root of an irreducible graph no moves
     assert [h.arcs for h in expanded] == [h.arcs for h in (full.graphs[:-1] if full else ())]
-    _liveness_matches_the_oracle(
+    _reducibility_matches_the_oracle(
         [g] + [h for t in (cr_only, full) if t is not None for h in t.graphs[1:]])
     return cr_only, full, states
 
@@ -450,8 +457,8 @@ def test_state_keys_agree_with_the_sorted_tuple_keys():
 def _random_graph(rng: random.Random) -> DerivationGraph:
     """A small graph with random decorations, frontiers, arcs and labels over
     four nulls; the labels need not respect the decorations, so the checks
-    meet failures and the exhaustive search meets dead ends that the pruned
-    full search must skip."""
+    meet failures and the exhaustive search meets dead ends that the full
+    search's walk must not enter."""
     nulls = [Null(900_000 + i) for i in range(4)]
     fr_vars = [Variable(f"F{i}") for i in range(4)]
     n = rng.randint(3, 5)
@@ -481,12 +488,34 @@ def test_reductions_and_checks_match_the_oracles_on_random_graphs():
     for _ in range(300):
         g = _random_graph(rng)
         cr_only, full, states = _reductions_match_the_oracles(g)
-        answers |= _liveness_matches_the_oracle(
+        answers |= _reducibility_matches_the_oracle(
             [apply_step_oracle(g, step) for step in moves_oracle(g)])
         _checks_match_the_oracles(g, (cr_only, full), Instance(frozenset().union(*g.at)), kb)
         backtracked += full is not None and states > len(full.steps)
     assert backtracked > 0  # graphs where the oracle backtracks and the search does not
     assert answers == {True, False}  # successors of a root are met live and dead
+
+
+def test_the_walk_moves_only_from_reducible_random_graphs():
+    # every graph the walk gives a move to is reducible; the state total
+    # counts the walk and the per-point decisions of all 300 calls, and the
+    # walk never enters a dead successor, which an exhaustive search of
+    # these graphs does
+    rng = random.Random(4014)
+    budgets = []
+
+    class Counted(reduction._StateBudget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_StateBudget", Counted)
+        for _ in range(300):
+            _, expanded = _full_search_expanding(_random_graph(rng))
+            assert all(reduce_full_oracle(h)[0] is not None for h in expanded)
+    assert len(budgets) == 300
+    assert sum(b.used for b in budgets) == 1132
 
 
 def _candidate_steps(g: DerivationGraph) -> list:
