@@ -1,11 +1,13 @@
 """Rule application, bounded saturation, and exhaustive derivation enumeration.
 
 A trigger is a homomorphism from a rule body into the current instance.
-Applying it extends the instance with the head image, where each
-existential variable is sent to a fresh null.  Derivations record the whole
-history (trigger, extension and added atoms per step) so that greediness
-analysis and derivation graphs can be computed after the fact; each
-intermediate instance is the initial one plus the atoms of earlier steps.
+Applying it extends the instance with the head image: the head template
+(the head with the match applied and the existential variables left in
+place) with each existential variable sent to a fresh null.  Derivations
+record the whole history (trigger, extension and added atoms per step) so
+that greediness analysis and derivation graphs can be computed after the
+fact; each intermediate instance is the initial one plus the atoms of
+earlier steps.
 
 The one-step operator applies *all* triggers of *all* rules in parallel
 with pairwise-distinct fresh nulls; iterating it k times gives the k-level
@@ -14,7 +16,10 @@ saturation used for (sound, bounded) entailment checking.
 Enumeration is semi-naive along the depth-first search: a node inherits its
 parent's triggers, which stay valid as instances only grow, and adds those
 matches that read an atom of its step's delta, found by a search seeded with
-that atom.  Merging by canonical key keeps the order of a full recompute.
+that atom.  Each trigger is checked against the instance and its template
+built once, when the search finds it, so applying an entry only fills the
+template (DECISIONS.md section 8).  Merging by canonical key keeps the
+order of a full recompute.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotTriggeredError, ResourceLimitError
 from .homs import _index_by_pred, _match_atom, _search, find_homomorphisms
@@ -112,7 +117,7 @@ class Derivation:
                 raise ValueError(f"step {i}: trigger does not map the body into I{i-1}")
             if ext.restrict(r.body_vars) != hom:
                 raise ValueError(f"step {i}: extension disagrees with trigger on body vars")
-            fresh = [ext[z] for z in sorted(r.existentials, key=term_key)]
+            fresh = [ext[z] for z in r.sorted_existentials]
             if len(set(fresh)) != len(fresh) or not all(isinstance(n, Null) for n in fresh):
                 raise ValueError(f"step {i}: existential images are not distinct nulls")
             if not seen.isdisjoint(fresh):
@@ -138,20 +143,39 @@ def apply_rule(instance: Instance, r: Rule, hom: Substitution) -> tuple[Instance
     return Instance._of(instance.atoms | step.new_atoms), step.trigger
 
 
-def _extension(r: Rule, hom: Substitution) -> Substitution:
-    """The body match plus a fresh null per existential, in sorted variable order."""
-    return hom.extend({z: fresh_null() for z in sorted(r.existentials, key=term_key)})
+def _check(atoms: frozenset[Atom], r: Rule, hom: Substitution) -> None:
+    """Raise unless body match ``hom`` maps the body of r into ``atoms``."""
+    if not hom.apply(r.body) <= atoms:
+        raise NotTriggeredError(f"{r.rid}: homomorphism {hom} is not a trigger")
+
+
+def _image(atoms: Iterable[Atom], mapping: dict) -> frozenset[Atom]:
+    """``atoms`` with each term that ``mapping`` binds replaced by its image."""
+    image = mapping.get
+    return frozenset(Atom(a.pred, tuple(map(image, a.args, a.args))) for a in atoms)
+
+
+def _template(r: Rule, hom: Substitution) -> frozenset[Atom]:
+    """The head of r with body match ``hom`` applied, existentials left in place."""
+    return _image(r.head, hom.mapping)
+
+
+def _apply(atoms: frozenset[Atom], r: Rule, hom: Substitution,
+           template: frozenset[Atom]) -> DerivationStep:
+    """The step applying a checked match to the instance ``atoms``: a fresh
+    null per existential, in sorted variable order, fills the template."""
+    ext, head = hom, template
+    if r.sorted_existentials:
+        fresh = {z: fresh_null() for z in r.sorted_existentials}
+        ext, head = Substitution._of(hom.mapping | fresh), _image(template, fresh)
+    return DerivationStep(r, Trigger(r.rid, hom, ext), head - atoms)
 
 
 def _step(prev: Instance, r: Rule, hom: Substitution) -> DerivationStep:
     """The step applying body match ``hom`` to prev.  Checks cost
     O(|body| + |head|), so prev is never rescanned."""
-    if not hom.apply(r.body) <= prev.atoms:
-        raise NotTriggeredError(f"{r.rid}: homomorphism {hom} is not a trigger")
-    ext = _extension(r, hom)
-    image = ext.mapping.get
-    head = frozenset(Atom(a.pred, tuple(map(image, a.args, a.args))) for a in r.head)
-    return DerivationStep(r, Trigger(r.rid, hom, ext), head - prev.atoms)
+    _check(prev.atoms, r, hom)
+    return _apply(prev.atoms, r, hom, _template(r, hom))
 
 
 def one_step(instance: Instance, rules: Sequence[Rule]) -> Instance:
@@ -159,7 +183,7 @@ def one_step(instance: Instance, rules: Sequence[Rule]) -> Instance:
     added: set[Atom] = set()
     for r in rules:
         for hom in triggers(instance, r):
-            added |= _extension(r, hom).apply(r.head)
+            added |= _apply(instance.atoms, r, hom, _template(r, hom)).new_atoms
     return instance | added
 
 
@@ -220,17 +244,21 @@ def derivation_key(d: Derivation) -> tuple:
     return tuple(key)
 
 
-def _merge_triggers(old: list[tuple], body: list[Atom], delta: frozenset[Atom],
-                    index: dict) -> list[tuple]:
-    """``old`` (key, hom) pairs plus those of each body match in the indexed
-    instance that maps some body atom onto a delta atom, sorted by key."""
+def _merge_triggers(old: list[tuple], r: Rule, body: list[Atom], delta: frozenset[Atom],
+                    index: dict, atoms: frozenset[Atom]) -> list[tuple]:
+    """``old`` (key, hom, template) entries plus one per body match in the
+    indexed instance ``atoms`` that maps some body atom onto a delta atom,
+    sorted by key.  Each new match is checked against ``atoms`` and its
+    template built here, once (DECISIONS.md section 8)."""
     found: dict[tuple, Substitution] = {}
     for i, b in enumerate(body):
         rest = body[:i] + body[i + 1:]
         for t in delta:
             if (t.pred, t.arity) == (b.pred, b.arity) and (m := _match_atom(b, t, {})) is not None:
                 found.update((h.key(), h) for h in _search(rest, index, m, None))
-    return sorted([*old, *found.items()], key=itemgetter(0))
+    for h in found.values():
+        _check(atoms, r, h)
+    return sorted(old + [(k, h, _template(r, h)) for k, h in found.items()], key=itemgetter(0))
 
 
 def enumerate_derivations(
@@ -252,6 +280,8 @@ def enumerate_derivations(
     sleep sets; DECISIONS.md section 5 gives the argument.  A frame's sleep
     dict maps each sleeping or explored trigger, as (rule index, match key),
     to the atoms it added; a child keeps the entries disjoint from its step's.
+    Each trigger is checked once, when it is found; a bad match raises
+    NotTriggeredError before any derivation applying it is yielded.
     Redundant steps (head image already present) are legal derivation steps
     and are enumerated unless ``skip_redundant`` is set.  ``max_derivations``
     bounds the derivations yielded.
@@ -265,12 +295,14 @@ def enumerate_derivations(
     def frame(d: Derivation, delta: frozenset[Atom], index: dict, lists: list,
               sleep: dict | None) -> tuple:
         index = _index_by_pred(delta, index)
-        lists = [_merge_triggers(old, body, delta, index) for body, old in zip(bodies, lists)]
+        atoms = d.final.atoms
+        lists = [_merge_triggers(old, r, body, delta, index, atoms)
+                 for r, body, old in zip(rules, bodies, lists)]
         if sleep is None:
-            moves = ((None, r, h) for r, ts in zip(rules, lists) for _, h in ts)
+            moves = ((None, r, h, t) for r, ts in zip(rules, lists) for _, h, t in ts)
         else:
-            moves = (((i, k), r, h) for i, (r, ts) in enumerate(zip(rules, lists))
-                     for k, h in ts if (i, k) not in sleep)
+            moves = (((i, k), r, h, t) for i, (r, ts) in enumerate(zip(rules, lists))
+                     for k, h, t in ts if (i, k) not in sleep)
         return d, index, lists, moves, sleep
 
     count, stack = 0, []
@@ -289,8 +321,8 @@ def enumerate_derivations(
             stack.pop()
         else:
             d, index, lists, _, sleep = stack[-1]
-            ident, r, h = nxt
-            step = _step(d.final, r, h)
+            ident, r, h, t = nxt
+            step = _apply(d.final.atoms, r, h, t)
             asleep = None
             if sleep is not None and len(d) + 1 < max_len:  # a leaf child opens no frame
                 asleep = {s: n for s, n in sleep.items() if n.isdisjoint(step.new_atoms)}

@@ -17,6 +17,7 @@ from them, computed once per built graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Container, Iterable, Mapping
 
@@ -47,7 +48,8 @@ class NodeFacts:
     terms(Xi) (the node's terms plus every constant), ``frontier[i]`` the
     frontier image of the node's creating step minus the constants, and
     ``occurrences`` maps each non-constant term to the increasing tuple of
-    nodes containing it.
+    nodes containing it.  The unions over all nodes are computed once, on
+    first use.
     """
 
     at: tuple[frozenset[Atom], ...]
@@ -79,6 +81,21 @@ class NodeFacts:
             tuple(ts | constants for ts in own), frontier,
             MappingProxyType({t: tuple(nodes) for t, nodes in occurrences.items()}),
         )
+
+    @cached_property
+    def covered(self) -> frozenset[Term]:
+        """The terms of all nodes."""
+        return frozenset.union(*self.terms)
+
+    @cached_property
+    def decorated(self) -> frozenset[Atom]:
+        """The atoms of all nodes."""
+        return frozenset().union(*self.at)
+
+    @cached_property
+    def width(self) -> int:
+        """The largest node term count."""
+        return max(map(len, self.terms))
 
 
 class DerivationGraph:
@@ -271,14 +288,14 @@ def check_decomposition_properties(
     """
     facts = g.facts
     failures: list[str] = []
-    covered = frozenset.union(*facts.terms)
+    covered = facts.covered
     terms = final.terms()
     want = terms | g.constants
     term_cover = covered == want
     if not term_cover:
         failures.append(f"term cover: {covered ^ want} mismatched")
 
-    decorated = frozenset().union(*facts.at)
+    decorated = facts.decorated
     atom_cover = final.atoms <= decorated
     if not atom_cover:
         failures.append(f"atom cover: missing {final.atoms - decorated}")
@@ -292,7 +309,8 @@ def check_decomposition_properties(
             failures.append(f"occurrence subgraph for {x} is disconnected")
 
     bound = kb.width_bound
-    oversized = [i for i, ts in enumerate(facts.terms) if len(ts) > bound]
+    oversized = ([i for i, ts in enumerate(facts.terms) if len(ts) > bound]
+                 if facts.width > bound else [])
     bounded = not oversized
     if oversized:
         failures.append(f"nodes {oversized} exceed the term bound {bound}")

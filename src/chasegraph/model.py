@@ -106,10 +106,11 @@ class Instance:
     """A finite set of atoms over constants and nulls.
 
     Variables are rejected at construction; everything downstream may rely
-    on instances being variable-free.
+    on instances being variable-free.  The term set is computed once, on
+    first use.
     """
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "_terms")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         atom_set = frozenset(atoms)
@@ -156,7 +157,11 @@ class Instance:
         return f"{{{inner}}}"
 
     def terms(self) -> frozenset[Term]:
-        return terms_of(self.atoms)
+        try:
+            return self._terms
+        except AttributeError:
+            object.__setattr__(self, "_terms", terms_of(self.atoms))
+            return self._terms
 
     def constants(self) -> frozenset[Constant]:
         return constants_of(self.atoms)
@@ -187,6 +192,14 @@ class Substitution:
             if k != v:
                 raise ValueError(f"constant {k} cannot be remapped to {v}")
         object.__setattr__(self, "mapping", m)
+
+    @classmethod
+    def _of(cls, mapping: dict[Term, Term]) -> "Substitution":
+        """Take ownership of a mapping known to bind no constant, without
+        re-checking it."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "mapping", mapping)
+        return sub
 
     def __getitem__(self, t: Term) -> Term:
         if isinstance(t, Constant):
@@ -230,7 +243,7 @@ class Substitution:
 
     def restrict(self, domain: Iterable[Term]) -> "Substitution":
         dom = set(domain)
-        return Substitution({k: v for k, v in self.mapping.items() if k in dom})
+        return Substitution._of({k: v for k, v in self.mapping.items() if k in dom})
 
     def apply_term(self, t: Term) -> Term:
         if isinstance(t, Constant):
@@ -285,6 +298,11 @@ class Rule:
     @cached_property
     def existentials(self) -> frozenset[Variable]:
         return self.head_vars - self.body_vars
+
+    @cached_property
+    def sorted_existentials(self) -> tuple[Variable, ...]:
+        """The existential variables in the order they receive fresh nulls."""
+        return tuple(sorted(self.existentials, key=term_key))
 
     def constants(self) -> frozenset[Constant]:
         return constants_of(self.body) | constants_of(self.head)

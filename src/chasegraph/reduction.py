@@ -205,18 +205,23 @@ def _reduce(
     g: DerivationGraph,
     moves: _Moves,
     budget: _StateBudget,
+    *,
+    memo: bool,
 ) -> ReductionTrace | None:
     """Depth-first search over the reduction sequences ``moves`` offers,
-    memoized on graph state.
+    memoized on graph state when ``memo`` is set.
 
     Every operation strictly shrinks (arc count, total label size)
     lexicographically, so the state space is a finite DAG and plain DFS with
-    a visited set is complete.  Each distinct state visited spends one unit
-    of ``budget``; running out raises instead of reporting irreducibility.
-    The search keeps an explicit stack, one move iterator per graph on the
-    current path, so its depth is not bounded by the interpreter's
-    recursion limit.  Moves come from ``moves`` itself, so they are applied
-    without re-checking their side conditions.
+    a visited set is complete.  A moves function that offers at most one
+    move per state makes the search a single path, which never meets a
+    state twice and needs no visited set (DECISIONS.md section 7).  Each
+    state visited spends one unit of ``budget``; running out raises instead
+    of reporting irreducibility.  The search keeps an explicit stack, one
+    move iterator per graph on the current path, so its depth is not
+    bounded by the interpreter's recursion limit.  Moves come from
+    ``moves`` itself, so they are applied without re-checking their side
+    conditions.
     """
     seen: set[frozenset] = set()
     steps: list[ReductionStep] = []
@@ -226,12 +231,12 @@ def _reduce(
         cur = graphs[-1]
         if is_cycle_free(cur):
             return ReductionTrace(g, tuple(steps), tuple(graphs))
-        key = cur.state_key()
-        if key in seen:
+        if memo and (key := cur.state_key()) in seen:
             steps.pop()  # only a step can reach a seen state; the root is new
             graphs.pop()
         else:
-            seen.add(key)
+            if memo:
+                seen.add(key)
             budget.spend()
             pending.append(moves(cur))
         while pending:
@@ -261,7 +266,7 @@ def _walk_moves(g: DerivationGraph, budget: _StateBudget) -> _Moves:
     local: dict[frozenset, ReductionStep] = {}  # arcs into a point -> its next step
     for k in g.convergence_points():
         into = {(i, k): g.arcs[(i, k)] for i in g.parents(k)}
-        trace = _reduce(DerivationGraph._of(g.facts, into), _moves, budget)
+        trace = _reduce(DerivationGraph._of(g.facts, into), _moves, budget, memo=True)
         if trace is None:
             return lambda h: iter(())
         local.update(zip((h.state_key() for h in trace.graphs), trace.steps))
@@ -301,7 +306,7 @@ def reduce_graph(
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     budget = _StateBudget(max_states)
-    return _reduce(g, _STRATEGIES[strategy](g, budget), budget)
+    return _reduce(g, _STRATEGIES[strategy](g, budget), budget, memo=False)
 
 
 @dataclass(frozen=True)

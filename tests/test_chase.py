@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from chasegraph import chase
 from chasegraph.chase import (
     Derivation,
     DerivationStep,
@@ -47,11 +48,61 @@ def test_apply_rule_creates_fresh_nulls(join_kb):
     assert trig.hom == Substitution({X: A})
 
 
+def test_fresh_nulls_follow_sorted_existential_order():
+    # derivation ids depend on it: triggers are ordered by their images' ordinals
+    w = Variable("W")
+    r = Rule("r", frozenset({Atom("p", (X,))}), frozenset({Atom("q", (X, Z, w, Y))}))
+    _, trig = apply_rule(Instance({Atom("p", (A,))}), r, Substitution({X: A}))
+    ext = trig.extension
+    assert ext[w].ordinal < ext[Y].ordinal < ext[Z].ordinal
+    assert ext.restrict({X}) == trig.hom
+
+
 def test_apply_rule_not_triggered(join_kb):
     r1 = join_kb.rule_by_id("r1")
     for image in (B, Variable("V")):
         with pytest.raises(NotTriggeredError):
             apply_rule(join_kb.database, r1, Substitution({X: image}))
+
+
+def test_extend_rejects_a_non_trigger(join_kb):
+    r1 = join_kb.rule_by_id("r1")
+    with pytest.raises(NotTriggeredError):
+        Derivation(join_kb.database).extend(r1, Substitution({X: B}))
+
+
+@pytest.mark.parametrize("dedup", ["none", "traces"])
+def test_a_found_match_outside_the_instance_is_rejected(join_kb, dedup, monkeypatch):
+    # the search also returns a copy of its first match sent to a constant
+    # the instance lacks; the check at discovery must refuse it
+    real = chase._search
+    nowhere = Constant("nowhere")
+
+    def search(atoms, index, seed, limit):
+        found = real(atoms, index, seed, limit)
+        return found + [Substitution({v: nowhere for v in h.mapping}) for h in found[:1]]
+
+    monkeypatch.setattr(chase, "_search", search)
+    with pytest.raises(NotTriggeredError):
+        for _ in enumerate_derivations(join_kb.database, join_kb.rules, 2, dedup=dedup):
+            pass
+
+
+@pytest.mark.parametrize("name,depth,checks,applications", [
+    ("join", 6, 3239, 24976), ("chain", 7, 1449, 8736),
+])
+def test_each_found_trigger_is_checked_once(name, depth, checks, applications, monkeypatch):
+    # one check per trigger the enumeration finds, however often it is applied
+    kb = _sample_kb(name)
+    calls = {"_check": 0, "_apply": 0}
+    for fn in calls:
+        def counted(*args, fn=fn, real=getattr(chase, fn)):
+            calls[fn] += 1
+            return real(*args)
+        monkeypatch.setattr(chase, fn, counted)
+    count = sum(1 for _ in enumerate_derivations(kb.database, kb.rules, depth))
+    assert calls == {"_check": checks, "_apply": applications}
+    assert count == applications + 1
 
 
 def test_apply_rule_set_union_when_head_present():
@@ -346,6 +397,7 @@ def test_rule_properties_are_cached_without_changing_identity():
     r = Rule("r", frozenset({Atom("p", (X, Y))}), frozenset({Atom("q", (Y, Z))}))
     twin = Rule("r", frozenset({Atom("p", (X, Y))}), frozenset({Atom("q", (Y, Z))}))
     assert r.body_vars is r.body_vars and r.existentials is r.existentials
+    assert r.sorted_existentials is r.sorted_existentials == (Z,)
     assert (r.body_vars, r.head_vars, r.frontier, r.existentials) == ({X, Y}, {Y, Z}, {Y}, {Z})
     assert r == twin and hash(r) == hash(twin) and {r, twin} == {twin}
     assert Variable("X") in r.body_vars

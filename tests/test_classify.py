@@ -24,7 +24,7 @@ from chasegraph.derivgraph import build_derivation_graph
 from chasegraph.docparse import parse_document
 from chasegraph.errors import ResourceLimitError
 from chasegraph.homs import isomorphic_mod_nulls
-from chasegraph.model import Atom, BooleanQuery, Instance, KnowledgeBase
+from chasegraph.model import Atom, BooleanQuery, Constant, Instance, KnowledgeBase, Rule
 from chasegraph.randkb import random_kb
 from chasegraph.reduction import reduce_graph
 from chasegraph.render import verdict_json
@@ -277,6 +277,42 @@ def test_traces_stream_gives_the_full_stream_answers(seed):
         slow = [classify(kb, cls, 3) for cls in CLASSES]
     for new, old in zip(fast, slow):
         assert (new.result, _certificate_keys(new)) == (old.result, _certificate_keys(old))
+
+
+def _renamed(kb, preds=(), consts=(), order=None):
+    """``kb`` with predicates and constants renamed by the given maps and
+    the rule list in ``order``."""
+    preds, consts = dict(preds), dict(consts)
+
+    def atoms(xs):
+        return frozenset(Atom(preds.get(a.pred, a.pred), tuple(consts.get(t, t) for t in a.args))
+                         for a in xs)
+
+    rules = [Rule(r.rid, atoms(r.body), atoms(r.head)) for r in kb.rules]
+    return KnowledgeBase(Instance(atoms(kb.database)),
+                         tuple(rules[i] for i in order or range(len(rules))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.permutations("pqrs"), st.permutations("abc"), st.data())
+def test_verdicts_survive_reordering_and_renaming(seed, preds, consts, data):
+    # metamorphic: the classes and the traces are properties of the
+    # derivation set, so the verdicts and the trace count ignore rule order
+    # and names; renaming predicates leaves every derivation order alone, so
+    # the certificates stay as well
+    kb = random_kb(random.Random(seed))
+    order = data.draw(st.permutations(range(len(kb.rules))))
+    variants = [kb, _renamed(kb, order=order),
+                _renamed(kb, consts={Constant(a): Constant(b) for a, b in zip("abc", consts)}),
+                _renamed(kb, preds=zip("pqrs", preds))]
+    verdicts = [[classify(v, cls, 3) for cls in CLASSES] for v in variants]
+    assume(all(x.result != UNKNOWN for vs in verdicts for x in vs))
+    results = [([x.result for x in vs],
+                sum(1 for _ in enumerate_derivations(v.database, v.rules, 3, dedup="traces")))
+               for v, vs in zip(variants, verdicts)]
+    assert results == [results[0]] * len(variants)
+    assert ([_certificate_keys(x) for x in verdicts[3]]
+            == [_certificate_keys(x) for x in verdicts[0]])
 
 
 _DIGEST_SCRIPT = """

@@ -153,3 +153,11 @@ def test_kb_constants_are_computed_once_without_changing_identity():
     assert kb.constants is kb.constants
     assert kb == twin and hash(kb) == hash(twin) == before
     assert kb != KnowledgeBase(Instance({Atom("p", (B,))}), (r,))
+
+
+def test_instance_terms_are_computed_once_without_changing_identity():
+    n = fresh_null()
+    inst, twin = Instance({Atom("p", (A, n))}), Instance({Atom("p", (A, n))})
+    assert inst.terms() is inst.terms() == {A, n}
+    assert inst == twin and hash(inst) == hash(twin)
+    assert Instance._of(inst.atoms).terms() == inst.terms()

@@ -244,6 +244,31 @@ def test_irreducible_graphs_are_decided_without_exhaustive_search():
     assert irreducible > 0
 
 
+def test_only_the_local_decisions_keep_a_visited_set(monkeypatch):
+    # cr-only and the walk offer at most one move per graph, so they never
+    # meet a graph twice and key no state (DECISIONS.md section 7); only the
+    # per-point decisions do, and their graphs hold the arcs into one node
+    kb = parse_document((SAMPLES / "chain.rules").read_text()).knowledge_base()
+    keyed = []
+    real = DerivationGraph.state_key
+
+    def state_key(self):
+        keyed.append({j for _, j in self.arcs})
+        return real(self)
+
+    monkeypatch.setattr(DerivationGraph, "state_key", state_key)
+    walks = 0
+    for d in enumerate_derivations(kb.database, kb.rules, 5):
+        g = build_derivation_graph(d, kb)
+        keyed.clear()
+        reduce_graph(g, "cr-only")
+        assert keyed == []
+        full = reduce_graph(g, "full")
+        assert all(len(targets) <= 1 for targets in keyed)
+        walks += full is not None and len(full.steps) > 1 and len({j for _, j in g.arcs}) > 1
+    assert walks > 0
+
+
 def test_cr_only_runs_under_the_same_state_budget(golden):
     # the cr-only trace takes two steps from a graph that is not cycle-free,
     # so it visits two such states
