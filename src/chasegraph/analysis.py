@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .chase import Derivation, apply_rule, enumerate_derivations, triggers
 from .derivgraph import reachable
 from .errors import NotPermutableError
-from .homs import canonical_key, find_homomorphisms
+from .homs import _pass_key, find_homomorphisms
 from .model import (
     Constant,
     Instance,
@@ -306,10 +306,12 @@ def group_derivations(
     """Derivations up to max_len, one per trace (``dedup="traces"``), by the
     canonical key of their final instance: key -> (first final instance seen,
     members in enumeration order).  With shortest_only, a group keeps only
-    its members of the least length seen."""
+    its members of the least length seen.  The pass reuses the form of each
+    component a step left unchanged (``homs.canonical_key``)."""
+    key = _pass_key()
     groups: dict[tuple, tuple[Instance, list[Derivation]]] = {}
     for d in enumerate_derivations(kb.database, kb.rules, max_len, dedup="traces"):
-        _, members = groups.setdefault(canonical_key(d.final), (d.final, []))
+        _, members = groups.setdefault(key(d.final), (d.final, []))
         if shortest_only and members and len(d) < len(members[0]):
             members.clear()
         if not shortest_only or not members or len(d) == len(members[0]):
@@ -331,9 +333,11 @@ def find_greedy_rederivation(
     which keeps one derivation per trace (greediness is a trace invariant).
     With no early exit, ResourceLimitError comes whenever the enumeration, or
     the canonical key of a final instance as large as the target, trips its budget.
+    Component forms are reused within the call, as in ``group_derivations``.
     """
-    key = canonical_key(target)
+    key = _pass_key()
+    wanted = key(target)
     group = [d for d in enumerate_derivations(kb.database, kb.rules, max_len, dedup="traces")
-             if len(d.final) == len(target) and canonical_key(d.final) == key]
+             if len(d.final) == len(target) and key(d.final) == wanted]
     found = first_good(group, lambda d: is_greedy(d, kb).greedy)
     return found[0] if found else None

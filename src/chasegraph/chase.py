@@ -249,13 +249,16 @@ def _merge_triggers(old: list[tuple], r: Rule, body: list[Atom], delta: frozense
     """``old`` (key, hom, template) entries plus one per body match in the
     indexed instance ``atoms`` that maps some body atom onto a delta atom,
     sorted by key.  Each new match is checked against ``atoms`` and its
-    template built here, once (DECISIONS.md section 8)."""
+    template built here, once (DECISIONS.md section 8).  With no new match
+    ``old`` itself comes back: no list is ever mutated."""
     found: dict[tuple, Substitution] = {}
     for i, b in enumerate(body):
         rest = body[:i] + body[i + 1:]
         for t in delta:
             if (t.pred, t.arity) == (b.pred, b.arity) and (m := _match_atom(b, t, {})) is not None:
                 found.update((h.key(), h) for h in _search(rest, index, m, None))
+    if not found:
+        return old
     for h in found.values():
         _check(atoms, r, h)
     return sorted(old + [(k, h, _template(r, h)) for k, h in found.items()], key=itemgetter(0))

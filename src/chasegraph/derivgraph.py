@@ -300,13 +300,15 @@ def check_decomposition_properties(
     if not atom_cover:
         failures.append(f"atom cover: missing {final.atoms - decorated}")
 
-    connected = True
     undirected = adjacency(g.arcs, g.nodes)
-    for x in sorted((t for t in terms if isinstance(t, Null)), key=term_key):
-        members = set(facts.occurrences.get(x, ()))
+    split = []  # only these nulls are sorted, for the failure messages
+    for x in terms:
+        members = set(facts.occurrences.get(x, ())) if isinstance(x, Null) else None
         if members and reachable(undirected, min(members), members) != members:
-            connected = False
-            failures.append(f"occurrence subgraph for {x} is disconnected")
+            split.append(x)
+    connected = not split
+    failures += (f"occurrence subgraph for {x} is disconnected"
+                 for x in sorted(split, key=term_key))
 
     bound = kb.width_bound
     oversized = ([i for i, ts in enumerate(facts.terms) if len(ts) > bound]

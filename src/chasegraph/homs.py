@@ -12,6 +12,7 @@ derivation identifiers.
 from __future__ import annotations
 
 from operator import itemgetter
+from typing import Callable
 
 from .errors import ResourceLimitError
 from .model import (
@@ -23,7 +24,6 @@ from .model import (
     Substitution,
     Term,
     atom_key,
-    term_key,
 )
 
 MAX_CANON_NODES = 10_000  # search nodes per labelled instance, read at call time
@@ -131,14 +131,29 @@ def canonical_key(inst: Instance) -> tuple:
     A component's form is its least labelled sorted atom tuple under
     individualisation and refinement (McKay and Piperno, "Practical graph
     isomorphism II", 2014); a null's colour is refined by the predicates,
-    positions and co-argument colours or constants of its atoms.  A member v of a split cell is skipped when the
-    map from the singleton cells after individualising a tried member onto
-    those after individualising v is a colour-keeping automorphism.  Only
-    sorted data is iterated, so the key is hash-seed independent.  Over
-    ``MAX_CANON_NODES`` search nodes in all raises ResourceLimitError.
+    positions and co-argument colours or constants of its atoms.  A member
+    v of a split cell is skipped when the map from the singleton cells after
+    individualising a tried member onto those after individualising v is a
+    colour-keeping automorphism.  Only sorted data is iterated, so the key
+    is hash-seed independent.  Over ``MAX_CANON_NODES`` search nodes in all
+    raises ResourceLimitError.  A form reads only its component's atoms, so
+    a grouping pass in ``analysis`` reuses the form of every component it
+    has met before; a reused form is charged the search nodes it cost, so
+    the budget trips exactly where it would if each form were recomputed
+    (DECISIONS.md section 4).
     """
-    ground, components = _canonical_forms(inst)
-    return tuple(ground), tuple(sorted(form for form, _ in components))
+    return _pass_key()(inst)
+
+
+def _pass_key() -> Callable[[Instance], tuple]:
+    """``canonical_key`` for one pass: component forms are memoised by atom
+    set for the life of the returned function."""
+    memo: dict = {}
+
+    def key(inst: Instance) -> tuple:
+        ground, components = _canonical_forms(inst, memo)
+        return tuple(ground), tuple(sorted(form for form, _, _ in components))
+    return key
 
 
 def isomorphic_mod_nulls(a: Instance, b: Instance) -> Substitution | None:
@@ -149,94 +164,125 @@ def isomorphic_mod_nulls(a: Instance, b: Instance) -> Substitution | None:
     same label in the form's leaf maps the component onto its partner.
     Labelling each instance runs under ``MAX_CANON_NODES`` search nodes.
     """
-    (ground_a, comps_a), (ground_b, comps_b) = _canonical_forms(a), _canonical_forms(b)
+    (ground_a, comps_a), (ground_b, comps_b) = _canonical_forms(a, {}), _canonical_forms(b, {})
     comps_a.sort(key=itemgetter(0))
     comps_b.sort(key=itemgetter(0))
-    if ground_a != ground_b or [f for f, _ in comps_a] != [f for f, _ in comps_b]:
+    if ground_a != ground_b or [c[0] for c in comps_a] != [c[0] for c in comps_b]:
         return None
     renaming: dict[Term, Term] = {}
-    for (_, label_a), (_, label_b) in zip(comps_a, comps_b):
+    for (_, label_a, _), (_, label_b, _) in zip(comps_a, comps_b):
         by_label = {c: m for m, c in label_b.items()}
         renaming.update((n, by_label[c]) for n, c in label_a.items())
     return Substitution(renaming)
 
 
-def _canonical_forms(inst: Instance) -> tuple[list[tuple], list[tuple[tuple, dict[Null, int]]]]:
+def _canonical_forms(inst: Instance, memo: dict) -> tuple[list[tuple], list[tuple]]:
     """The sorted ground atom keys and, per null-connected component, its
-    form with the discrete labelling of the nulls that yields it."""
+    form, the discrete labelling of the nulls that yields it, and the search
+    nodes the form cost.  ``memo`` maps a component's atom keys to that
+    triple; a memoised form is charged its nodes again."""
     budget, nodes = MAX_CANON_NODES, 0
-    ground, components = [], []
-    for a in inst.sorted_atoms():
-        ns = {t for t in a.args if isinstance(t, Null)}
+    ground: list[tuple] = []
+    comps: dict[int, tuple[set[int], list[tuple]]] = {}  # moves to the end when an atom joins it
+    owner: dict[int, int] = {}  # null ordinal -> its component
+    for i, k in enumerate(sorted(map(atom_key, inst.atoms))):
+        ns = {v for c, v in k[2] if c == 2}
         if not ns:
-            ground.append(atom_key(a))
+            ground.append(k)
             continue
-        hit = [c for c in components if c[0] & ns]
-        components = [c for c in components if not c[0] & ns]
-        components.append((ns.union(*(c[0] for c in hit)), [a] + [x for c in hit for x in c[1]]))
+        atoms = [k]
+        for c in {owner[n] for n in ns if n in owner}:
+            more_nulls, more_atoms = comps.pop(c)
+            ns |= more_nulls
+            atoms += more_atoms
+        comps[i] = (ns, atoms)
+        owner.update(dict.fromkeys(ns, i))
+    forms = []
+    for ns, atoms in comps.values():
+        members = frozenset(atoms)
+        got = memo.get(members) or _form(sorted(ns), atoms, members, budget - nodes)
+        if got is None or got[2] > budget - nodes:
+            raise ResourceLimitError(
+                f"canonical form of an instance with {len(inst.nulls())} nulls exceeded "
+                f"the canonical-form budget MAX_CANON_NODES of {budget} search nodes",
+                budget="canonical-nodes", limit=budget)
+        memo[members] = got
+        nodes += got[2]
+        forms.append(got)
+    return ground, forms
 
-    def form(null_set: set[Null], comp: list[Atom]) -> tuple[tuple, dict[Null, int]]:
-        nonlocal nodes
-        nulls = sorted(null_set, key=term_key)
-        occurrences = {n: [(i, a) for a in comp for i, t in enumerate(a.args) if t == n]
-                       for n in nulls}
 
-        def labelled(a: Atom, colour: dict[Null, int]) -> tuple:
-            return (a.pred, len(a.args), tuple(
-                (2, colour[t]) if isinstance(t, Null) else term_key(t) for t in a.args))
+def _form(ordinals: list[int], atoms: list[tuple], members: frozenset,
+          allowance: int) -> tuple[tuple, dict[Null, int], int] | None:
+    """The form, labelling and search-node count of the component with null
+    ``ordinals`` and atom keys ``atoms`` (``members`` as a set), or None past
+    ``allowance`` nodes.  Null k of the component is held as the int k and a
+    colouring is a list, so each round labels every atom once."""
+    index = {o: i for i, o in enumerate(ordinals)}
+    dense = [(p, n, tuple([index[t[1]] if t[0] == 2 else t for t in args]))
+             for p, n, args in atoms]
+    slots = [[(i, x) for i, x in enumerate(args) if type(x) is int] for _, _, args in dense]
+    everyone = range(len(ordinals))
 
-        def refine(colour: dict[Null, int]) -> dict[Null, int]:
-            while True:
-                sig = {n: (colour[n], tuple(sorted((i, labelled(a, colour))
-                                                   for i, a in occurrences[n])))
-                       for n in nulls}
-                rank = {s: r for r, s in enumerate(sorted(set(sig.values())))}
-                new = {n: rank[sig[n]] for n in nulls}
-                if len(rank) == len(set(colour.values())):
-                    return new
-                colour = new
+    def labels(colour: list[int]) -> list[tuple]:
+        return [(p, n, tuple([(2, colour[x]) if type(x) is int else x for x in args]))
+                for p, n, args in dense]
 
-        def cells(colour: dict[Null, int]) -> dict[int, list[Null]]:
-            out: dict[int, list[Null]] = {}
-            for n in nulls:
-                out.setdefault(colour[n], []).append(n)
-            return out
+    def refine(colour: list[int]) -> list[int]:
+        while len(set(colour)) < len(colour):
+            occurrences: list[list] = [[] for _ in everyone]
+            for positions, label in zip(slots, labels(colour)):
+                for i, x in positions:
+                    occurrences[x].append((i, label))
+            sig = [(c, tuple(sorted(o))) for c, o in zip(colour, occurrences)]
+            rank = {s: r for r, s in enumerate(sorted(set(sig)))}
+            new = [rank[s] for s in sig]
+            if len(rank) == len(set(colour)):
+                return new
+            colour = new
+        # discrete: a round would only renumber the colours in their order
+        rank = {c: r for r, c in enumerate(sorted(colour))}
+        return [rank[c] for c in colour]
 
-        def symmetric(colour: dict[Null, int], u: Null, cu: dict, v: Null, cv: dict) -> bool:
-            su, sv = ({c: ms[0] for c, ms in cells(x).items() if len(ms) == 1} for x in (cu, cv))
-            perm = {su[c]: sv[c] for c in su if c in sv}
-            back = {m: n for n, m in perm.items()}
-            for n in [n for n in nulls if n not in perm]:  # close chains by walking back
-                perm[n] = n
-                while perm[n] in back:
-                    perm[n] = back[perm[n]]
-            return (perm[u] == v and all(colour[perm[n]] == colour[n] for n in nulls)
-                    and all(Atom(a.pred, tuple(perm.get(t, t) for t in a.args)) in inst.atoms
-                            for a in comp))
+    def cells(colour: list[int]) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {}
+        for n, c in enumerate(colour):
+            out.setdefault(c, []).append(n)
+        return out
 
-        best = None
-        stack = [refine({n: 0 for n in nulls})]
-        while stack:
-            nodes += 1
-            if nodes > budget:
-                raise ResourceLimitError(
-                    f"canonical form of an instance with {len(inst.nulls())} nulls exceeded "
-                    f"the canonical-form budget MAX_CANON_NODES of {budget} search nodes",
-                    budget="canonical-nodes", limit=budget)
-            colour = stack.pop()
-            split = min((ms for ms in cells(colour).values() if len(ms) > 1),
-                        key=lambda ms: colour[ms[0]], default=None)
-            if split is None:
-                leaf = tuple(sorted(labelled(a, colour) for a in comp))
-                if best is None or leaf < best[0]:
-                    best = (leaf, colour)
-                continue
-            tried: list[tuple[Null, dict]] = []
-            for v in split:
-                cv = refine({n: 2 * c + (n != v) for n, c in colour.items()})
-                if not any(symmetric(colour, u, cu, v, cv) for u, cu in tried):
-                    tried.append((v, cv))
-                    stack.append(cv)
-        return best
+    def symmetric(colour: list[int], u: int, cu: list[int], v: int, cv: list[int]) -> bool:
+        su, sv = ({c: ms[0] for c, ms in cells(x).items() if len(ms) == 1} for x in (cu, cv))
+        perm = {su[c]: sv[c] for c in su if c in sv}
+        back = {m: n for n, m in perm.items()}
+        for n in [n for n in everyone if n not in perm]:  # close chains by walking back
+            perm[n] = n
+            while perm[n] in back:
+                perm[n] = back[perm[n]]
+        # perm maps the component's nulls onto themselves, so a permuted atom
+        # is in the instance iff it is in the component (DECISIONS.md section 4)
+        return (perm[u] == v and all(colour[perm[n]] == colour[n] for n in everyone)
+                and all((p, n, tuple([(2, ordinals[perm[x]]) if type(x) is int else x
+                                      for x in args])) in members for p, n, args in dense))
 
-    return ground, [form(*c) for c in components]
+    nodes, best = 0, None
+    stack = [refine([0] * len(ordinals))]
+    while stack:
+        nodes += 1
+        if nodes > allowance:
+            return None
+        colour = stack.pop()
+        split = min((ms for ms in cells(colour).values() if len(ms) > 1),
+                    key=lambda ms: colour[ms[0]], default=None)
+        if split is None:
+            leaf = tuple(sorted(labels(colour)))
+            if best is None or leaf < best[0]:
+                best = (leaf, colour)
+            continue
+        tried: list[tuple[int, list[int]]] = []
+        for v in split:
+            cv = refine([2 * c + (n != v) for n, c in enumerate(colour)])
+            if not any(symmetric(colour, u, cu, v, cv) for u, cu in tried):
+                tried.append((v, cv))
+                stack.append(cv)
+    leaf, colour = best
+    return leaf, {Null(o): c for o, c in zip(ordinals, colour)}, nodes

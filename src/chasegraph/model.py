@@ -79,7 +79,8 @@ class Atom:
 
 
 def atom_key(a: Atom) -> tuple:
-    return (a.pred, len(a.args), tuple(term_key(t) for t in a.args))
+    return (a.pred, len(a.args), tuple([  # term_key, inlined
+        (2, t.ordinal) if type(t) is Null else (_KIND_RANK[type(t)], t.name) for t in a.args]))
 
 
 def atom(pred: str, *args: Term) -> Atom:

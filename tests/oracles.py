@@ -9,6 +9,9 @@ each.  Both are only usable at desk scale.
 The isomorphism oracle is the earlier ``isomorphic_mod_nulls``: plain
 backtracking over the nulls of one instance in ordinal order, pruning when
 an atom whose nulls are all bound has no image in the other instance.
+The canonical-form oracle is the earlier ``homs._canonical_forms``: it
+labels each atom once per null occurrence in every refinement round and
+shares no form between instances.
 
 The weak-class oracle is the classifier's earlier engine for wgbts and
 wcdgs: instances are bucketed by a cheap shape key and grouped by pairwise
@@ -44,6 +47,7 @@ from chasegraph.classify import (
     Refutation,
 )
 from chasegraph.derivgraph import DecompositionReport, DerivationGraph, build_derivation_graph
+from chasegraph import homs
 from chasegraph.errors import ResourceLimitError
 from chasegraph.model import (
     Atom,
@@ -54,6 +58,7 @@ from chasegraph.model import (
     Rule,
     Substitution,
     Term,
+    atom_key,
     nulls_of,
     term_key,
     terms_of,
@@ -210,6 +215,91 @@ def isomorphic_oracle(a: Instance, b: Instance) -> Substitution | None:
 
     found = solve(0, {}, set())
     return Substitution(found) if found is not None else None
+
+
+def canonical_forms_oracle(inst: Instance) -> tuple[list[tuple], list[tuple]]:
+    """``homs._canonical_forms`` without a memo, as it was before components
+    were indexed densely: the sorted ground atom keys and, per component,
+    (form, labelling, search nodes).  A round computes each atom's label once
+    per null occurrence, and the automorphism test looks permuted atoms up
+    in the whole instance."""
+    budget, nodes = homs.MAX_CANON_NODES, 0
+    ground, components = [], []
+    for a in inst.sorted_atoms():
+        ns = {t for t in a.args if isinstance(t, Null)}
+        if not ns:
+            ground.append(atom_key(a))
+            continue
+        hit = [c for c in components if c[0] & ns]
+        components = [c for c in components if not c[0] & ns]
+        components.append((ns.union(*(c[0] for c in hit)), [a] + [x for c in hit for x in c[1]]))
+
+    def form(null_set: set[Null], comp: list[Atom]) -> tuple[tuple, dict[Null, int], int]:
+        nonlocal nodes
+        start = nodes
+        nulls = sorted(null_set, key=term_key)
+        occurrences = {n: [(i, a) for a in comp for i, t in enumerate(a.args) if t == n]
+                       for n in nulls}
+
+        def labelled(a: Atom, colour: dict[Null, int]) -> tuple:
+            return (a.pred, len(a.args), tuple(
+                (2, colour[t]) if isinstance(t, Null) else term_key(t) for t in a.args))
+
+        def refine(colour: dict[Null, int]) -> dict[Null, int]:
+            while True:
+                sig = {n: (colour[n], tuple(sorted((i, labelled(a, colour))
+                                                   for i, a in occurrences[n])))
+                       for n in nulls}
+                rank = {s: r for r, s in enumerate(sorted(set(sig.values())))}
+                new = {n: rank[sig[n]] for n in nulls}
+                if len(rank) == len(set(colour.values())):
+                    return new
+                colour = new
+
+        def cells(colour: dict[Null, int]) -> dict[int, list[Null]]:
+            out: dict[int, list[Null]] = {}
+            for n in nulls:
+                out.setdefault(colour[n], []).append(n)
+            return out
+
+        def symmetric(colour: dict[Null, int], u: Null, cu: dict, v: Null, cv: dict) -> bool:
+            su, sv = ({c: ms[0] for c, ms in cells(x).items() if len(ms) == 1} for x in (cu, cv))
+            perm = {su[c]: sv[c] for c in su if c in sv}
+            back = {m: n for n, m in perm.items()}
+            for n in [n for n in nulls if n not in perm]:  # close chains by walking back
+                perm[n] = n
+                while perm[n] in back:
+                    perm[n] = back[perm[n]]
+            return (perm[u] == v and all(colour[perm[n]] == colour[n] for n in nulls)
+                    and all(Atom(a.pred, tuple(perm.get(t, t) for t in a.args)) in inst.atoms
+                            for a in comp))
+
+        best = None
+        stack = [refine({n: 0 for n in nulls})]
+        while stack:
+            nodes += 1
+            if nodes > budget:
+                raise ResourceLimitError(
+                    f"canonical form of an instance with {len(inst.nulls())} nulls exceeded "
+                    f"the canonical-form budget MAX_CANON_NODES of {budget} search nodes",
+                    budget="canonical-nodes", limit=budget)
+            colour = stack.pop()
+            split = min((ms for ms in cells(colour).values() if len(ms) > 1),
+                        key=lambda ms: colour[ms[0]], default=None)
+            if split is None:
+                leaf = tuple(sorted(labelled(a, colour) for a in comp))
+                if best is None or leaf < best[0]:
+                    best = (leaf, colour)
+                continue
+            tried: list[tuple[Null, dict]] = []
+            for v in split:
+                cv = refine({n: 2 * c + (n != v) for n, c in colour.items()})
+                if not any(symmetric(colour, u, cu, v, cv) for u, cu in tried):
+                    tried.append((v, cv))
+                    stack.append(cv)
+        return best + (nodes - start,)
+
+    return ground, [form(*c) for c in components]
 
 
 def _bucket_key(inst: Instance) -> tuple:

@@ -2,16 +2,18 @@ import random
 
 import pytest
 
-from chasegraph import homs
+from chasegraph import analysis, homs
 from chasegraph.analysis import (
     depends_on,
     find_greedy_rederivation,
+    group_derivations,
     is_greedy,
     normalize_by_grd,
     permute_adjacent,
     rule_dependency_graph,
 )
 from chasegraph.chase import Derivation, enumerate_derivations
+from chasegraph.docparse import parse_document
 from chasegraph.errors import NotPermutableError, ResourceLimitError
 from chasegraph.homs import isomorphic_mod_nulls
 from chasegraph.model import (
@@ -26,7 +28,7 @@ from chasegraph.model import (
 from chasegraph.randkb import random_kb
 
 from conftest import A, B, U, V, W, X, Y, Z, rename_derivation_nulls
-from oracles import brute_force_depends_on
+from oracles import brute_force_depends_on, canonical_forms_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -331,3 +333,52 @@ def test_rederive_reports_canonical_form_budget(join_kb, monkeypatch):
     monkeypatch.setattr(homs, "MAX_CANON_NODES", 1)
     with pytest.raises(ResourceLimitError, match="MAX_CANON_NODES of 1 "):
         find_greedy_rederivation(join_kb, target, 2)
+
+
+def _oracle_pass(derivations: list[Derivation]):
+    """``group_derivations`` over ``derivations`` with uncached oracle keys,
+    or (index, message, budget, limit) of the first key that trips."""
+    groups: dict = {}
+    for i, d in enumerate(derivations):
+        try:
+            ground, comps = canonical_forms_oracle(d.final)
+        except ResourceLimitError as e:
+            return i, str(e), e.budget, e.limit
+        key = tuple(ground), tuple(sorted(form for form, _, _ in comps))
+        groups.setdefault(key, (d.final, []))[1].append(d)
+    return groups
+
+
+# The depth-first search applies r1 before r2, but b-atoms sort before
+# z-atoms, so a final can list the component its last step added before
+# the ones it reuses, and a budget can trip on a reused form.
+_REUSED_LAST = "p(a).\nr1: p(X) -> z(X,Y).\nr2: p(X) -> b(Y,W), b(W,Y).\n"
+
+
+@pytest.mark.parametrize("name", ["join", "reused-last"])
+def test_grouping_budget_trips_where_uncached_keys_trip(name, join_kb, monkeypatch):
+    # a pass reuses component forms but charges each reuse its nodes, so
+    # every budget gives the oracle's groups or its error, at the same derivation
+    kb = join_kb if name == "join" else parse_document(_REUSED_LAST).knowledge_base()
+    ds = list(enumerate_derivations(kb.database, kb.rules, 3, dedup="traces"))
+    yielded: list[Derivation] = []
+
+    def replay(*args, **kwargs):
+        for d in ds:
+            yielded.append(d)
+            yield d
+
+    monkeypatch.setattr(analysis, "enumerate_derivations", replay)
+    total = sum(cost for d in ds for _, _, cost in canonical_forms_oracle(d.final)[1])
+    tripped = set()
+    for budget in range(1, total + 1):
+        monkeypatch.setattr(homs, "MAX_CANON_NODES", budget)
+        expected = _oracle_pass(ds)
+        yielded.clear()
+        try:
+            got = group_derivations(kb, 3)
+        except ResourceLimitError as e:
+            got = len(yielded) - 1, str(e), e.budget, e.limit
+        assert got == expected
+        tripped.add(got[0] if isinstance(got, tuple) else None)
+    assert None in tripped and len(tripped) > 2  # some budgets pass, several derivations trip

@@ -24,9 +24,10 @@ from chasegraph.model import (
     Substitution,
     Variable,
 )
+from chasegraph.randkb import random_kb
 
 from conftest import A, B, X, Y
-from oracles import brute_force_homomorphisms, isomorphic_oracle
+from oracles import brute_force_homomorphisms, canonical_forms_oracle, isomorphic_oracle
 
 
 def test_single_match():
@@ -255,6 +256,38 @@ def test_canonical_key_tries_every_member_of_a_colour_class():
         perm = rng.sample(range(8), 8)
         keys.add(canonical_key(_graph([(perm[a], perm[b]) for a, b in edges])))
     assert len(keys) == 1
+
+
+def _parity_inputs() -> list[Instance]:
+    """Finals of join d5, chain d6 and the seeded ``randkb`` KBs 0-59 at
+    depth 3 (full streams), then the symmetric gadgets above."""
+    insts = _sample_finals("join", 5) + _sample_finals("chain", 6)
+    for seed in range(60):
+        kb = random_kb(random.Random(seed))
+        insts += [d.final for d in enumerate_derivations(kb.database, kb.rules, 3)]
+    c, ys, zs = Null(1), [Null(100 + i) for i in range(7)], [Null(200 + i) for i in range(7)]
+    arms = {Atom("q", (c, y)) for y in ys} | {Atom("q", (y, z)) for y, z in zip(ys, zs)}
+    insts += [Instance(arms), Instance(arms - {Atom("q", (ys[6], zs[6]))}
+                                       | {Atom("q", (zs[5], zs[6]))})]
+    prism_edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    perm = [4, 0, 5, 2, 1, 3]
+    insts += [_graph([(i, j) for i in range(3) for j in range(3, 6)]), _graph(prism_edges),
+              _graph([(perm[a], perm[b]) for a, b in prism_edges])]
+    return insts
+
+
+def test_canonical_forms_match_the_oracle_with_and_without_a_memo():
+    # ground keys, forms, labellings and per-component search nodes, both
+    # for each instance alone and within one pass that reuses forms
+    memo: dict = {}
+    forms = nodes = 0
+    for inst in _parity_inputs():
+        expected = canonical_forms_oracle(inst)
+        assert repr(homs._canonical_forms(inst, {})) == repr(expected)
+        assert repr(homs._canonical_forms(inst, memo)) == repr(expected)
+        forms += len(expected[1])
+        nodes += sum(cost for _, _, cost in expected[1])
+    assert len(memo) < forms and nodes > forms  # forms recur, and some need a search
 
 
 # ---------------------------------------------------------------------------
