@@ -1,5 +1,9 @@
+import hashlib
 import importlib
+import itertools
+import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from chasegraph import analysis, chase, homs
+from chasegraph import analysis, chase, homs, model
 from chasegraph.analysis import is_greedy
 from chasegraph.chase import derivation_key, enumerate_derivations
 from chasegraph.classify import (
@@ -344,3 +348,70 @@ def test_weak_certificates_independent_of_hash_seed():
     first = run("0")
     assert first.count("\n") == 2
     assert first == run("1")
+
+
+# ---------------------------------------------------------------------------
+# verdict_json pinned on the samples
+# ---------------------------------------------------------------------------
+
+# sha256 (first 16 hex digits) of json.dumps(verdict_json(classify(kb, cls, depth)))
+# with the nulls renamed _:n1, _:n2, ... by order of first appearance
+_VERDICT_DIGESTS = {
+    ("join", 1, "gbts"): "4e64f61bddb2b514",
+    ("join", 1, "wgbts"): "709576a863d71597",
+    ("join", 1, "cdgs"): "71036f4c40e42637",
+    ("join", 1, "wcdgs"): "aaad3ec5c577aab5",
+    ("join", 2, "gbts"): "f7dbb329dc05dce1",
+    ("join", 2, "wgbts"): "45e93dd8e26d1603",
+    ("join", 2, "cdgs"): "5f23dd406ea66f6d",
+    ("join", 2, "wcdgs"): "bf9d1f9f9208f2fe",
+    ("join", 3, "gbts"): "1645ecc293f40471",
+    ("join", 3, "wgbts"): "12e53acb060ac674",
+    ("join", 3, "cdgs"): "bbc821934173372b",
+    ("join", 3, "wcdgs"): "8205f0f50d4382c2",
+    ("join", 4, "gbts"): "3f6d63b2e79fef6a",
+    ("join", 4, "wgbts"): "83d960333dbe942b",
+    ("join", 4, "cdgs"): "b3564cac3b5584c2",
+    ("join", 4, "wcdgs"): "033837197fef8825",
+    ("chain", 1, "gbts"): "4e64f61bddb2b514",
+    ("chain", 1, "wgbts"): "bc7d847cccc3f639",
+    ("chain", 1, "cdgs"): "71036f4c40e42637",
+    ("chain", 1, "wcdgs"): "2e49eb90b81af2a6",
+    ("chain", 2, "gbts"): "f7dbb329dc05dce1",
+    ("chain", 2, "wgbts"): "91962de60cc17b57",
+    ("chain", 2, "cdgs"): "5f23dd406ea66f6d",
+    ("chain", 2, "wcdgs"): "f037b40ab2d2d75f",
+    ("chain", 3, "gbts"): "ef99440e2fbefa52",
+    ("chain", 3, "wgbts"): "4a16c8a40b0dc9cb",
+    ("chain", 3, "cdgs"): "0b6453ccc1c48adf",
+    ("chain", 3, "wcdgs"): "72e820a2269c9c07",
+    ("chain", 4, "gbts"): "6e53f7b9645c5ac0",
+    ("chain", 4, "wgbts"): "2edb1d611a4f0824",
+    ("chain", 4, "cdgs"): "24b75307006dde1b",
+    ("chain", 4, "wcdgs"): "445efb8c56e57f54",
+    ("chain", 5, "gbts"): "9cd57eb08eeaa329",
+    ("chain", 5, "wgbts"): "c4df03e7d4de0f54",
+    ("chain", 5, "cdgs"): "2f6b806cdae7ad41",
+    ("chain", 5, "wcdgs"): "b5cd78aeaba34107",
+}
+
+
+def _renumbered_nulls(text: str) -> str:
+    names: dict[str, str] = {}
+    return re.sub(r"_:n\d+", lambda m: names.setdefault(m.group(0), f"_:n{len(names) + 1}"), text)
+
+
+@pytest.mark.parametrize("name,depth", [("join", d) for d in range(1, 5)]
+                         + [("chain", d) for d in range(1, 6)])
+def test_verdict_json_is_pinned_on_the_samples(name, depth, monkeypatch):
+    kb = _sample_kb(name)
+    for cls in CLASSES:
+        # the null counter starts afresh, so the order in which the JSON sorts
+        # null-bearing strings does not depend on the tests run before
+        monkeypatch.setattr(model, "_null_counter", itertools.count(1))
+        out = verdict_json(classify(kb, cls, depth))
+        if (name, depth, cls) == ("join", 4, "wgbts"):
+            assert "target" in out["certificate"]
+        text = _renumbered_nulls(json.dumps(out))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == _VERDICT_DIGESTS[
+            name, depth, cls], (name, depth, cls)
