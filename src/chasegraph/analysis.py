@@ -30,7 +30,6 @@ from .model import (
     Substitution,
     Term,
     Variable,
-    constants_of,
     nulls_of,
     term_key,
     variables_of,
@@ -169,8 +168,6 @@ def depends_on(r2: Rule, r1: Rule) -> bool:
 
 def _witnesses_dependence(instance: Instance, r1: Rule, r2: Rule) -> bool:
     body2_preds = {a.pred for a in r2.body}
-    if not {a.pred for a in r1.head} & body2_preds:
-        return False  # no head atom could ever feed a new body match
     for h in triggers(instance, r1):
         chased, trig = apply_rule(instance, r1, h)
         new = chased - instance
@@ -218,11 +215,13 @@ def is_greedy(d: Derivation, kb: KnowledgeBase) -> GreedinessReport:
     The witness set for step j is the nulls of the atoms j actually added.
     For steps whose head image is disjoint from the prior instance (every
     application in practice) this is exactly the null set of the head image.
+
+    The base is the KB's constants and the terms of ``d.initial``.  Every
+    term of an instance along ``d`` is a term of ``d.initial``, a rule
+    constant or a fresh null, so the database's other constants, which the
+    base also holds, change no step's remainder.
     """
-    base: set[Term] = set(constants_of(d.initial.atoms))
-    for r in kb.rules:
-        base |= r.constants()
-    base |= nulls_of(d.initial.atoms)
+    base = kb.constants | d.initial.terms()
     step_nulls = [nulls_of(d.new_atoms(i)) for i in range(1, len(d) + 1)]
 
     witnesses: dict[int, int] = {}

@@ -5,13 +5,17 @@ All verdicts are relative to the given database and an enumeration depth:
 an unbounded claim.  Refutations carry re-checkable certificates; resource
 exhaustion is reported as unknown, never as a verdict.
 
-The universal classes quantify over all derivations (greediness for the
-greedy bounded-treewidth class, graph reducibility for the cycle-free
-derivation-graph class).  The weak variants quantify over derivable
-instances and ask for one good derivation each: one enumeration groups them
+Each class is a derivation property and a quantifier.  The property is
+greediness (gbts, wgbts) or a derivation graph with a complete ``full``
+reduction (cdgs, wcdgs).  The weak classes quantify over derivable instances
+and ask for one good derivation each: one enumeration groups the derivations
 by isomorphism up to null renaming (not homomorphic equivalence, an open
 choice) under the ``homs.MAX_CANON_NODES`` budget, which yields unknown when
-it trips.  A witness is a group's first good derivation in (length, DFS) order.
+it trips.  A universal class is a weak class over one-member groups, one per
+derivation of the lazy stream, so a refutation stops the enumeration.  One
+loop gives every verdict: a group with no good member refutes the class with
+its shortest member, and a weak class's witness is a group's first good
+derivation in (length, DFS) order.
 
 Every class reads the ``dedup="traces"`` stream, one derivation per trace:
 length, final instance, greediness and reducibility are trace invariants,
@@ -37,6 +41,13 @@ REFUTED = "refuted"
 UNKNOWN = "unknown"
 
 CLASSES = ("gbts", "wgbts", "cdgs", "wcdgs")
+
+_REFUTATION_REASONS = {
+    "gbts": "non-greedy derivation",
+    "wgbts": "instance admits no greedy derivation",
+    "cdgs": "derivation graph admits no complete reduction",
+    "wcdgs": "no derivation of the instance has a reducible graph",
+}
 
 
 @dataclass(frozen=True)
@@ -94,42 +105,29 @@ def classify(
         raise ValueError("depth must be >= 1")
     if rederivation_bound not in ("shortest", "depth"):
         raise ValueError(f"unknown rederivation bound {rederivation_bound!r}")
+    weak = cls in ("wgbts", "wcdgs")
+    check = ((lambda d: is_greedy(d, kb).greedy) if cls in ("gbts", "wgbts")
+             else lambda d: reduce_graph(build_derivation_graph(d, kb), "full"))
     try:
-        if cls == "gbts":
-            for d in enumerate_derivations(kb.database, kb.rules, depth, dedup="traces"):
-                report = is_greedy(d, kb)
-                if not report.greedy:
-                    cert = Refutation(d, "non-greedy derivation", greediness=report)
-                    return ClassificationVerdict(
-                        cls, depth, REFUTED, cert,
-                        f"violation at step {report.violations[0][0]}",
-                    )
-            return ClassificationVerdict(cls, depth, HOLDS)
-
-        if cls == "cdgs":
-            for d in enumerate_derivations(kb.database, kb.rules, depth, dedup="traces"):
-                if reduce_graph(build_derivation_graph(d, kb), "full") is None:
-                    cert = Refutation(d, "derivation graph admits no complete reduction")
-                    return ClassificationVerdict(cls, depth, REFUTED, cert)
-            return ClassificationVerdict(cls, depth, HOLDS)
-
-        check = ((lambda d: is_greedy(d, kb).greedy) if cls == "wgbts"
-                 else lambda d: reduce_graph(build_derivation_graph(d, kb), "full"))
-
+        if weak:
+            groups = group_derivations(kb, depth, rederivation_bound == "shortest").values()
+        else:  # one group per derivation, read lazily
+            stream = enumerate_derivations(kb.database, kb.rules, depth, dedup="traces")
+            groups = ((None, [d]) for d in stream)
         witnesses: list[GroupWitness] = []
-        groups = group_derivations(kb, depth, rederivation_bound == "shortest")
-        for target, members in groups.values():
+        for target, members in groups:
             shortest = min(members, key=len)
             found = first_good(members, check)
             if found is None:
-                reason = ("instance admits no greedy derivation" if cls == "wgbts"
-                          else "no derivation of the instance has a reducible graph")
-                cert = Refutation(shortest, reason, target=target)
-                return ClassificationVerdict(cls, depth, REFUTED, cert)
-            w, result = found
-            witnesses.append(GroupWitness(target, len(shortest), w,
-                                          result if cls == "wcdgs" else None))
-        return ClassificationVerdict(cls, depth, HOLDS, tuple(witnesses))
+                report = is_greedy(shortest, kb) if cls == "gbts" else None
+                cert = Refutation(shortest, _REFUTATION_REASONS[cls], report, target)
+                detail = f"violation at step {report.violations[0][0]}" if report else ""
+                return ClassificationVerdict(cls, depth, REFUTED, cert, detail)
+            if weak:
+                w, result = found
+                witnesses.append(GroupWitness(target, len(shortest), w,
+                                              result if cls == "wcdgs" else None))
+        return ClassificationVerdict(cls, depth, HOLDS, tuple(witnesses) if weak else None)
     except ResourceLimitError as exc:
         return ClassificationVerdict(cls, depth, UNKNOWN, detail=str(exc),
                                      budget=exc.budget, limit=exc.limit)

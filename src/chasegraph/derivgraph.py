@@ -31,7 +31,6 @@ from .model import (
     Null,
     Rule,
     Term,
-    frontier_atoms,
     terms_of,
     term_key,
 )
@@ -203,7 +202,7 @@ def build_derivation_graph(d: Derivation, kb: KnowledgeBase) -> DerivationGraph:
         provenance.append((step.rule, step.trigger))
         hom = step.trigger.hom
         fr = step.rule.frontier
-        for fa in sorted(frontier_atoms(step.rule), key=str):
+        for fa in step.rule.sorted_frontier_atoms:
             image = hom.apply_atom(fa)
             i = owner[image]
             contribution = frozenset(hom[v] for v in fa.terms() & fr) - constants

@@ -210,10 +210,7 @@ def parse_document(text: str) -> RuleDocument:
 def print_document(doc: RuleDocument) -> str:
     """Render a document so that parsing the output reproduces it."""
     lines = [f"{a}." for a in doc.facts]
-    for r in doc.rules:
-        body = ", ".join(str(a) for a in sorted(r.body, key=atom_key))
-        head = ", ".join(str(a) for a in sorted(r.head, key=atom_key))
-        lines.append(f"{r.rid}: {body} -> {head}.")
+    lines += [str(r) for r in doc.rules]
     for name, q in doc.queries.items():
         atoms = ", ".join(str(a) for a in sorted(q.atoms, key=atom_key))
         lines.append(f"?{name}: {atoms}.")

@@ -83,10 +83,6 @@ def atom_key(a: Atom) -> tuple:
         (2, t.ordinal) if type(t) is Null else (_KIND_RANK[type(t)], t.name) for t in a.args]))
 
 
-def atom(pred: str, *args: Term) -> Atom:
-    return Atom(pred, tuple(args))
-
-
 def terms_of(atoms: Iterable[Atom]) -> frozenset[Term]:
     return frozenset(t for a in atoms for t in a.args)
 
@@ -237,11 +233,6 @@ class Substitution:
         """Canonical sort key: the mapping viewed as a sorted pair list."""
         return tuple((term_key(k), term_key(v)) for k, v in self.items())
 
-    def extend(self, extra: dict[Term, Term]) -> "Substitution":
-        merged = dict(self.mapping)
-        merged.update(extra)
-        return Substitution(merged)
-
     def restrict(self, domain: Iterable[Term]) -> "Substitution":
         dom = set(domain)
         return Substitution._of({k: v for k, v in self.mapping.items() if k in dom})
@@ -305,6 +296,14 @@ class Rule:
         """The existential variables in the order they receive fresh nulls."""
         return tuple(sorted(self.existentials, key=term_key))
 
+    @cached_property
+    def sorted_frontier_atoms(self) -> tuple[Atom, ...]:
+        """Body atoms containing at least one frontier variable, in ``str``
+        order: the atoms a step's incoming arcs in a derivation graph come
+        from, in the order the arcs are inserted."""
+        fr = self.frontier
+        return tuple(sorted((a for a in self.body if any(t in fr for t in a.args)), key=str))
+
     def constants(self) -> frozenset[Constant]:
         return constants_of(self.body) | constants_of(self.head)
 
@@ -314,15 +313,10 @@ class Rule:
         return f"{self.rid}: {body} -> {head}."
 
 
-def rule(rid: str, body: Iterable[Atom], head: Iterable[Atom]) -> Rule:
-    return Rule(rid, frozenset(body), frozenset(head))
-
-
 def frontier_atoms(r: Rule) -> frozenset[Atom]:
-    """Body atoms of the rule containing at least one frontier variable: the
-    atoms a step's incoming arcs in a derivation graph come from."""
-    fr = r.frontier
-    return frozenset(a for a in r.body if any(t in fr for t in a.args))
+    """Body atoms of the rule containing at least one frontier variable
+    (``Rule.sorted_frontier_atoms`` as a set)."""
+    return frozenset(r.sorted_frontier_atoms)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,10 @@ wcdgs: instances are bucketed by a cheap shape key and grouped by pairwise
 ``isomorphic_oracle``, and each group's good derivation is searched by
 iterative deepening, one fresh enumeration per length.
 
+The greediness oracle is the earlier ``is_greedy``: it rebuilds its base
+from the constants of the initial instance and of every rule, and the
+initial instance's nulls, on every call.
+
 The enumeration oracle is the chase's earlier derivation enumerator: at each
 node it recomputes every rule's triggers over the whole instance, applies
 each through the public ``Derivation.extend``, and recurses; its
@@ -36,7 +40,12 @@ from __future__ import annotations
 
 import itertools
 
-from chasegraph.analysis import _rename_apart, _witnesses_dependence, is_greedy
+from chasegraph.analysis import (
+    GreedinessReport,
+    _rename_apart,
+    _witnesses_dependence,
+    is_greedy,
+)
 from chasegraph.chase import Derivation, derivation_key, enumerate_derivations, triggers
 from chasegraph.classify import (
     HOLDS,
@@ -59,6 +68,7 @@ from chasegraph.model import (
     Substitution,
     Term,
     atom_key,
+    constants_of,
     nulls_of,
     term_key,
     terms_of,
@@ -98,6 +108,8 @@ def brute_force_depends_on(r2: Rule, r1: Rule, max_fresh: int = 3) -> bool:
     fresh constants plus the rules' own constants.  Instances differing only
     by a permutation of the fresh constants are checked once.
     """
+    if not {a.pred for a in r1.head} & {a.pred for a in r2.body}:
+        return False  # no new atom can feed a body match, on any instance
     r2 = _rename_apart(r2, variables_of(r1.body) | variables_of(r1.head))
     n_fresh = min(max_fresh, len(variables_of(r1.body)) + len(variables_of(r2.body)))
     fresh = [Constant(f"_u{i}") for i in range(n_fresh)]
@@ -141,6 +153,30 @@ def brute_force_depends_on(r2: Rule, r1: Rule, max_fresh: int = 3) -> bool:
             if _witnesses_dependence(instance, r1, r2):
                 return True
     return False
+
+
+def is_greedy_oracle(d: Derivation, kb: KnowledgeBase) -> GreedinessReport:
+    base: set[Term] = set(constants_of(d.initial.atoms))
+    for r in kb.rules:
+        base |= r.constants()
+    base |= nulls_of(d.initial.atoms)
+    step_nulls = [nulls_of(d.new_atoms(i)) for i in range(1, len(d) + 1)]
+
+    witnesses: dict[int, int] = {}
+    violations: list[tuple[int, frozenset[Term]]] = []
+    for i, step in enumerate(d.steps, start=1):
+        image = frozenset(step.trigger.hom[v] for v in step.rule.frontier)
+        rest = image - base
+        if not rest:
+            witnesses[i] = 0
+            continue
+        for j in range(1, i):
+            if rest <= step_nulls[j - 1]:
+                witnesses[i] = j
+                break
+        else:
+            violations.append((i, image))
+    return GreedinessReport(not violations, witnesses, tuple(violations))
 
 
 def enumerate_oracle(db: Instance, rules, max_len: int, dedup: str = "none",

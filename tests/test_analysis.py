@@ -28,7 +28,7 @@ from chasegraph.model import (
 from chasegraph.randkb import random_kb
 
 from conftest import A, B, U, V, W, X, Y, Z, rename_derivation_nulls
-from oracles import brute_force_depends_on, canonical_forms_oracle
+from oracles import brute_force_depends_on, canonical_forms_oracle, is_greedy_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +176,24 @@ def test_initial_instance_nulls_count_as_base():
     d = Derivation(start).extend(grow, Substitution({X: n1, Y: n2}))
     report = is_greedy(d, kb)
     assert report.greedy and report.witnesses[1] == 0
+
+
+def test_is_greedy_matches_the_oracle(join_kb, chain_kb):
+    # the base of the KB's constants gives the reports of the per-call base;
+    # in constant_in_head, frontier images hold a rule constant the database lacks
+    constant_in_head = parse_document(
+        "p(a). r1: p(X) -> q(X,c,Y). r2: q(X,Z,Y) -> t(Z,Y). r3: q(X,Z,Y) -> t(X,Y).")
+    cases = [(join_kb, 5), (chain_kb, 6), (constant_in_head.knowledge_base(), 4)]
+    cases += [(random_kb(random.Random(seed)), 3) for seed in range(60)]
+    checked = nongreedy = 0
+    for kb, depth in cases:
+        for d in enumerate_derivations(kb.database, kb.rules, depth):
+            got, want = is_greedy(d, kb), is_greedy_oracle(d, kb)
+            assert (got.greedy, got.witnesses, got.violations) == (
+                want.greedy, want.witnesses, want.violations)
+            checked += 1
+            nongreedy += not want.greedy
+    assert checked > 1000 and nongreedy > 100
 
 
 # ---------------------------------------------------------------------------

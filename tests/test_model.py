@@ -75,6 +75,14 @@ def test_frontier_atoms_body_side(chain_kb):
     assert frontier_atoms(r1) == {Atom("p", (X, Y))}
 
 
+def test_sorted_frontier_atoms_keep_str_order(join_kb, chain_kb):
+    # a derivation graph inserts its arcs in this order
+    r3 = chain_kb.rule_by_id("r3")
+    assert r3.sorted_frontier_atoms == (Atom("q", (Z, X)), Atom("r", (X, Y)))
+    for r in join_kb.rules + chain_kb.rules:
+        assert r.sorted_frontier_atoms == tuple(sorted(frontier_atoms(r), key=str))
+
+
 def test_apply_substitution_examples():
     assert Substitution({X: A}).apply({Atom("p", (X,))}) == {Atom("p", (A,))}
     collapsed = Substitution({X: A, Y: A}).apply({Atom("p", (X, Y)), Atom("p", (Y, X))})
