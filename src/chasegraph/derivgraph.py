@@ -16,6 +16,7 @@ from them, computed once per built graph.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -47,8 +48,8 @@ class NodeFacts:
     terms(Xi) (the node's terms plus every constant), ``frontier[i]`` the
     frontier image of the node's creating step minus the constants, and
     ``occurrences`` maps each non-constant term to the increasing tuple of
-    nodes containing it.  The unions over all nodes are computed once, on
-    first use.
+    nodes containing it.  The unions over all nodes, and each node's nulls
+    and the nulls it creates, are computed once, on first use.
     """
 
     at: tuple[frozenset[Atom], ...]
@@ -96,15 +97,36 @@ class NodeFacts:
         """The largest node term count."""
         return max(map(len, self.terms))
 
+    @cached_property
+    def nulls(self) -> tuple[frozenset[Null], ...]:
+        """Each node's nulls."""
+        held: list[set[Null]] = [set() for _ in self.at]
+        for t, nodes in self.occurrences.items():
+            if isinstance(t, Null):
+                for i in nodes:
+                    held[i].add(t)
+        return tuple(map(frozenset, held))
+
+    @cached_property
+    def creates(self) -> tuple[frozenset[Null], ...]:
+        """The nulls each node creates: those whose first node it is."""
+        made: list[set[Null]] = [set() for _ in self.at]
+        for t, nodes in self.occurrences.items():
+            if isinstance(t, Null):
+                made[nodes[0]].add(t)
+        return tuple(map(frozenset, made))
+
 
 class DerivationGraph:
     """Decorated DAG over derivation steps; arcs always point forward.
 
     Node facts are shared with every reduced copy; the parent index and
-    the convergence points are computed once per graph from its own arcs.
+    the convergence points are computed once per graph from its own arcs,
+    or carried over from the graph it was rewritten from, and the nulls
+    each node does not reach on first use.
     """
 
-    __slots__ = ("facts", "arcs", "_parents", "_points")
+    __slots__ = ("facts", "arcs", "_parents", "_points", "_unreached")
 
     def __init__(self, facts: NodeFacts, arcs: dict[Arc, frozenset[Term]]):
         n = len(facts.at)
@@ -130,6 +152,27 @@ class DerivationGraph:
         self.arcs = arcs
         self._parents = {j: tuple(ps) for j, ps in parents.items()}
         self._points = tuple(sorted(j for j, ps in parents.items() if len(ps) > 1))
+        self._unreached = None
+
+    def _rewired(self, arcs: dict[Arc, frozenset[Term]], k: int) -> "DerivationGraph":
+        """Take ownership of ``arcs``, which differ from this graph's arcs
+        only in the arcs into node k: the index is this graph's, with node
+        k's entry recomputed."""
+        g = object.__new__(DerivationGraph)
+        g.facts = self.facts
+        g.arcs = arcs
+        g._parents = dict(self._parents)
+        ps = tuple(sorted(i for (i, j) in arcs if j == k))
+        if ps:
+            g._parents[k] = ps
+        else:
+            g._parents.pop(k, None)
+        points = [p for p in self._points if p != k]
+        if len(ps) > 1:
+            insort(points, k)
+        g._points = tuple(points)
+        g._unreached = None
+        return g
 
     @property
     def at(self) -> tuple[frozenset[Atom], ...]:
@@ -167,6 +210,27 @@ class DerivationGraph:
         """Nodes with two or more incoming arcs, in index order."""
         return self._points
 
+    def unreached(self) -> tuple[frozenset[Null], ...]:
+        """For each node, the nulls it holds but does not reach.
+
+        Node k reaches a null if k creates it, or if a parent of k holds
+        the null and reaches it: then a directed path runs from the null's
+        generative node to k through nodes holding the null.  Parents come
+        before their children, so one pass in index order decides every
+        node (DECISIONS.md section 9).
+        """
+        if self._unreached is None:
+            reached: list[frozenset[Null]] = []
+            unreached: list[frozenset[Null]] = []
+            for k, (held, made) in enumerate(zip(self.facts.nulls, self.facts.creates)):
+                missing = held - made
+                for p in self._parents.get(k, ()) if missing else ():
+                    missing -= reached[p]
+                reached.append(held - missing if missing else held)
+                unreached.append(missing)
+            self._unreached = tuple(unreached)
+        return self._unreached
+
     def state_key(self) -> frozenset:
         """Hashable encoding of the arc structure, for memoized search.
 
@@ -188,9 +252,12 @@ def build_derivation_graph(d: Derivation, kb: KnowledgeBase) -> DerivationGraph:
     """The derivation graph of ``d`` over ``kb``.
 
     Works for derivations starting at the knowledge base's database; a step
-    adding no atoms yields a node with an empty decoration.
+    adding no atoms yields a node with an empty decoration.  The KB's
+    constants include the database's, so only another initial instance adds
+    constants of its own.
     """
-    constants = kb.constants | d.initial.constants()
+    constants = (kb.constants if d.initial is kb.database
+                 else kb.constants | d.initial.constants())
     at: list[frozenset[Atom]] = [d.initial.atoms]
     provenance: list[tuple[Rule, Trigger] | None] = [None]
     owner: dict[Atom, int] = {a: 0 for a in d.initial.atoms}
@@ -209,7 +276,7 @@ def build_derivation_graph(d: Derivation, kb: KnowledgeBase) -> DerivationGraph:
             arcs[(i, j)] = arcs.get((i, j), frozenset()) | contribution
         for a in new:
             owner[a] = j
-    facts = NodeFacts.of(tuple(at), frozenset(constants), tuple(provenance))
+    facts = NodeFacts.of(tuple(at), constants, tuple(provenance))
     return DerivationGraph(facts, arcs)
 
 
@@ -232,16 +299,13 @@ def x_generative_node(g: DerivationGraph, x: Null) -> int:
     return nodes[0]
 
 
-def adjacency(
-    edges: Iterable[Arc], nodes: Iterable[int], directed: bool = False
-) -> dict[int, list[int]]:
-    """Neighbour lists of ``nodes`` (and of every edge endpoint) over
-    ``edges``; undirected unless ``directed``, then successors only."""
+def adjacency(edges: Iterable[Arc], nodes: Iterable[int]) -> dict[int, list[int]]:
+    """Undirected neighbour lists of ``nodes`` (and of every edge endpoint)
+    over ``edges``."""
     adj: dict[int, list[int]] = {n: [] for n in nodes}
     for (i, j) in edges:
         adj.setdefault(i, []).append(j)
-        if not directed:
-            adj.setdefault(j, []).append(i)
+        adj.setdefault(j, []).append(i)
     return adj
 
 
@@ -299,12 +363,16 @@ def check_decomposition_properties(
     if not atom_cover:
         failures.append(f"atom cover: missing {final.atoms - decorated}")
 
-    undirected = adjacency(g.arcs, g.nodes)
+    # a null that each of its nodes reaches is connected along directed
+    # paths, so only the nulls unreached somewhere need the search
+    suspects = {x for xs in g.unreached() for x in xs if x in terms}
     split = []  # only these nulls are sorted, for the failure messages
-    for x in terms:
-        members = set(facts.occurrences.get(x, ())) if isinstance(x, Null) else None
-        if members and reachable(undirected, min(members), members) != members:
-            split.append(x)
+    if suspects:
+        undirected = adjacency(g.arcs, g.nodes)
+        for x in suspects:
+            members = set(facts.occurrences[x])
+            if reachable(undirected, min(members), members) != members:
+                split.append(x)
     connected = not split
     failures += (f"occurrence subgraph for {x} is disconnected"
                  for x in sorted(split, key=term_key))
@@ -325,19 +393,14 @@ def check_generative_paths(g: DerivationGraph) -> list[str]:
     through nodes that contain it and never through a later index.
 
     Arcs point forward, so every directed path ending at a node runs only
-    through earlier nodes; one search from the generative node per null
-    therefore decides every member.
+    through earlier nodes; the graph's ``unreached`` pass therefore decides
+    every null and node at once, and only its failures are described.
 
-    Returns a list of violation descriptions (empty = property holds).
+    Returns a list of violation descriptions (empty = property holds), by
+    null and then by node.
     """
-    violations: list[str] = []
-    successors = adjacency(g.arcs, g.nodes, directed=True)
     occurrences = g.facts.occurrences
-    for x in sorted((t for t in occurrences if isinstance(t, Null)), key=term_key):
-        members = occurrences[x]
-        gen = members[0]
-        seen = reachable(successors, gen, set(members))
-        for k in members:
-            if k not in seen:
-                violations.append(f"no admissible directed path from X{gen} to X{k} for {x}")
-    return violations
+    # term_key tells nulls apart, so the sort never compares two nulls
+    failing = sorted((term_key(x), k, x) for k, xs in enumerate(g.unreached()) for x in xs)
+    return [f"no admissible directed path from X{occurrences[x][0]} to X{k} for {x}"
+            for _, k, x in failing]

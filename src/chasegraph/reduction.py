@@ -23,7 +23,7 @@ earlier node.  Reduction search ends exactly when that shape is reached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from operator import attrgetter
 from typing import Callable, Iterator, Union
 
@@ -39,6 +39,10 @@ class ArStep:
     i: int
     j: int
 
+    @property
+    def node(self) -> int:
+        return self.j
+
     def describe(self) -> str:
         return f"ar[{self.i},{self.j}]"
 
@@ -53,6 +57,10 @@ class TrStep:
     k: int
     t: Term
 
+    @property
+    def node(self) -> int:
+        return self.k
+
     def describe(self) -> str:
         return f"tr[{self.i},{self.j},{self.k},{self.t}]"
 
@@ -66,6 +74,10 @@ class CrStep:
     j: int
     k: int
     l: int
+
+    @property
+    def node(self) -> int:
+        return self.k
 
     def describe(self) -> str:
         return f"cr[{self.i},{self.j},{self.k},{self.l}]"
@@ -91,22 +103,32 @@ def _cr_moves(g: DerivationGraph, k: int) -> Iterator[CrStep]:
                 yield CrStep(i, j, k, l)
 
 
+def _ar_moves(g: DerivationGraph) -> Iterator[ArStep]:
+    """The arc removals: every empty-labeled arc, in arc order."""
+    for (i, j) in sorted(arc for arc, lbl in g.arcs.items() if not lbl):
+        yield ArStep(i, j)
+
+
+def _point_moves(g: DerivationGraph, k: int) -> Iterator[Union[TrStep, CrStep]]:
+    """The term and cycle removals at node k (none unless k is a
+    convergence point): term removals by ordered parent pair and term, then
+    cycle removals."""
+    arcs = g.arcs
+    parents = g.parents(k)
+    for i in parents:
+        for j in parents:
+            if i == j:
+                continue
+            shared = arcs[(i, k)] & arcs[(j, k)]
+            for t in sorted(shared, key=term_key):
+                yield TrStep(i, j, k, t)
+    yield from _cr_moves(g, k)
+
+
 def _moves(g: DerivationGraph) -> Iterator[ReductionStep]:
     """All applicable reduction steps, in a fixed deterministic order: the
     one definition of when arc, term and cycle removal apply."""
-    arcs = g.arcs
-    for (i, j) in sorted(arc for arc, lbl in arcs.items() if not lbl):
-        yield ArStep(i, j)
-    for k in g.convergence_points():
-        parents = g.parents(k)
-        for i in parents:
-            for j in parents:
-                if i == j:
-                    continue
-                shared = arcs[(i, k)] & arcs[(j, k)]
-                for t in sorted(shared, key=term_key):
-                    yield TrStep(i, j, k, t)
-        yield from _cr_moves(g, k)
+    return chain(_ar_moves(g), *(_point_moves(g, k) for k in g.convergence_points()))
 
 
 def _cr_only_moves(g: DerivationGraph) -> Iterator[CrStep]:
@@ -121,12 +143,17 @@ def _cr_only_moves(g: DerivationGraph) -> Iterator[CrStep]:
 def _successor(g: DerivationGraph, step: ReductionStep) -> DerivationGraph:
     arcs = dict(g.arcs)
     step.rewrite(arcs)
-    return DerivationGraph._of(g.facts, arcs)
+    return g._rewired(arcs, step.node)
 
 
 def apply_step(g: DerivationGraph, step: ReductionStep) -> DerivationGraph:
-    """Apply one step; its side condition is that ``_moves(g)`` offers it."""
-    if step not in _moves(g):
+    """Apply one step; its side condition is that ``_moves(g)`` offers it.
+
+    Only the part of ``_moves`` that can yield the step is searched: the
+    arc removals, or the term and cycle removals at the step's own node
+    (DECISIONS.md section 9).
+    """
+    if step not in (_ar_moves(g) if type(step) is ArStep else _point_moves(g, step.node)):
         raise SideConditionViolatedError(f"{step.describe()} does not apply to this graph")
     return _successor(g, step)
 
@@ -174,13 +201,16 @@ class ReductionTrace:
         return is_cycle_free(self.final)
 
     def replay(self) -> None:
-        """Re-apply the steps and verify each recorded intermediate."""
+        """Re-apply the steps and verify each recorded intermediate: its
+        arcs and labels, and that it shares the initial graph's node facts."""
         g = self.initial
-        if self.graphs[0].state_key() != g.state_key():
+        if any(h.facts is not g.facts for h in self.graphs):
+            raise ValueError("trace graphs do not share the initial graph's node facts")
+        if self.graphs[0].arcs != g.arcs:
             raise ValueError("trace does not start at the initial graph")
         for p, step in enumerate(self.steps, start=1):
             g = apply_step(g, step)
-            if g.state_key() != self.graphs[p].state_key():
+            if g.arcs != self.graphs[p].arcs:
                 raise ValueError(f"replay diverges after step {p} ({step.describe()})")
 
 
@@ -273,7 +303,7 @@ def _walk_moves(g: DerivationGraph, budget: _StateBudget) -> _Moves:
 
     def moves(h: DerivationGraph) -> Iterator[ReductionStep]:
         for step in _moves(h):
-            k = step.j if type(step) is ArStep else step.k
+            k = step.node
             into = frozenset([((i, k), h.arcs[(i, k)]) for i in h.parents(k)])
             if len(into) == 1 or local[into] == step:
                 yield step
@@ -329,35 +359,55 @@ def check_prefix_invariants(trace: ReductionTrace) -> PrefixInvariantReport:
     (b) every arc label is contained in the terms of its source node;
     (c) for complete traces only: in every prefix, each non-source node has
         an earlier node whose terms cover its frontier.
+
+    The replay makes every prefix its predecessor rewritten at one node,
+    the step's, under the initial graph's node facts.  All three
+    invariants read a node's incoming arcs and its static facts only, so
+    the first graph is checked in full and each later prefix at the step's
+    node alone; the failing nodes and arcs carry over from one prefix to
+    the next (DECISIONS.md section 9).  Failures are listed by prefix,
+    then by invariant: (a) and (c) by node, (b) in the graph's arc order.
     """
     trace.replay()
+    terms, frontier = trace.initial.facts.terms, trace.initial.facts.frontier
+    check_witness = trace.complete
+    unmatched: set[int] = set()  # (a)
+    escaping: set[Arc] = set()  # (b)
+    unwitnessed: set[int] = set()  # (c)
+
+    def recheck(g: DerivationGraph, n: int) -> None:
+        """Recompute node n's entries of the three failing sets."""
+        escaping.difference_update([arc for arc in escaping if arc[1] == n])
+        unmatched.discard(n)
+        unwitnessed.discard(n)
+        parents = g.parents(n)
+        if not parents:
+            return
+        incoming = frozenset()
+        for i in parents:
+            lbl = g.arcs[(i, n)]
+            if not lbl <= terms[i]:
+                escaping.add((i, n))
+            incoming |= lbl
+        if frontier[n] != incoming:
+            unmatched.add(n)
+        if check_witness and not any(frontier[n] <= terms[m] for m in range(n)):
+            unwitnessed.add(n)
+
     failures: list[str] = []
     fr_ok = lbl_ok = wit_ok = True
-    check_witness = trace.complete
-    witnessed: dict[tuple, bool] = {}  # (facts, node) -> an earlier node covers its frontier
     for p, g in enumerate(trace.graphs):
-        facts = g.facts
-        for n in g.nodes:
-            parents = g.parents(n)
-            if not parents:
-                continue
-            incoming = frozenset().union(*(g.arcs[(i, n)] for i in parents))
-            if facts.frontier[n] != incoming:
-                fr_ok = False
-                failures.append(f"prefix {p}: frontier of X{n} != union of incoming labels")
-        for (i, j), lbl in g.arcs.items():
-            if not lbl <= facts.terms[i]:
-                lbl_ok = False
-                failures.append(f"prefix {p}: label of ({i},{j}) escapes terms(X{i})")
-        if check_witness:
-            for n in g.nodes:
-                if g.in_degree(n) == 0:
-                    continue
-                ok = witnessed.get((facts, n))
-                if ok is None:
-                    fr = facts.frontier[n]
-                    ok = witnessed[(facts, n)] = any(fr <= facts.terms[m] for m in range(n))
-                if not ok:
-                    wit_ok = False
-                    failures.append(f"prefix {p}: no earlier node covers the frontier of X{n}")
+        for n in (trace.steps[p - 1].node,) if p else g.nodes:
+            recheck(g, n)
+        if not (unmatched or escaping or unwitnessed):
+            continue
+        fr_ok &= not unmatched
+        lbl_ok &= not escaping
+        wit_ok &= not unwitnessed
+        failures += (f"prefix {p}: frontier of X{n} != union of incoming labels"
+                     for n in sorted(unmatched))
+        failures += (f"prefix {p}: label of ({i},{j}) escapes terms(X{i})"
+                     for (i, j) in g.arcs if (i, j) in escaping)
+        failures += (f"prefix {p}: no earlier node covers the frontier of X{n}"
+                     for n in sorted(unwitnessed))
     return PrefixInvariantReport(fr_ok, lbl_ok, wit_ok, tuple(failures))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .derivgraph import DerivationGraph, adjacency, reachable
+from .derivgraph import DerivationGraph, adjacency
 from .errors import NotCycleFreeError
 from .model import Instance, KnowledgeBase, Term
 from .reduction import is_cycle_free
@@ -24,13 +24,30 @@ class TreeDecomposition:
         return max(len(b) for b in self.bags) - 1
 
     @cached_property
-    def _adjacency(self) -> dict[int, list[int]]:
-        """Undirected neighbour lists, built once per decomposition."""
-        return adjacency(self.edges, range(len(self.bags)))
+    def _parent(self) -> dict[int, int | None]:
+        """Each bag reached from the root, mapped to the bag it was reached
+        from (the root to None), by one search over the undirected edges."""
+        adj = adjacency(self.edges, range(len(self.bags)))
+        parent: dict[int, int | None] = {self.root: None}
+        stack = [self.root]
+        while stack:
+            i = stack.pop()
+            for j in adj.get(i, ()):
+                if j not in parent:
+                    parent[j] = i
+                    stack.append(j)
+        return parent
 
     def is_tree(self) -> bool:
+        """The edges join the bags, and only the bags, into one tree."""
         n = len(self.bags)
-        return len(self.edges) == n - 1 and len(reachable(self._adjacency, self.root)) == n
+        bags = range(n)
+        return (
+            self.root in bags
+            and all(i in bags and j in bags and i != j for (i, j) in self.edges)
+            and len(self.edges) == n - 1
+            and len(self._parent) == n
+        )
 
 
 def extract_tree_decomposition(g: DerivationGraph) -> TreeDecomposition:
@@ -38,23 +55,17 @@ def extract_tree_decomposition(g: DerivationGraph) -> TreeDecomposition:
 
     Bags are the node term sets and arcs become undirected edges.  A fully
     reduced graph is a forest; its trees are chained together by linking the
-    roots (each tree's smallest node) in index order, which cannot break the
-    occurrence-connectedness of any term.
+    roots in index order, which cannot break the occurrence-connectedness of
+    any term.  Every node has at most one parent and arcs point forward, so
+    each tree has exactly one node without a parent, its smallest node: the
+    roots are the parentless nodes.
     """
     if not is_cycle_free(g):
         raise NotCycleFreeError("graph still has converging arcs")
     bags = tuple(g.node_terms(i) for i in g.nodes)
     edges = {(min(i, j), max(i, j)) for (i, j) in g.arcs}
-
-    undirected = adjacency(g.arcs, g.nodes)
-    component: dict[int, int] = {}
-    for i in g.nodes:
-        if i not in component:
-            for n in reachable(undirected, i):
-                component[n] = i
-    roots = sorted({component[i] for i in g.nodes})
-    for a, b in zip(roots, roots[1:]):
-        edges.add((a, b))
+    roots = [i for i in g.nodes if not g.in_degree(i)]
+    edges.update(zip(roots, roots[1:]))
     return TreeDecomposition(bags, frozenset(edges), roots[0])
 
 
@@ -63,7 +74,11 @@ def validate_tree_decomposition(td: TreeDecomposition, instance: Instance) -> bo
 
     (i) the bags cover the instance's terms; (ii) each atom's terms fit in
     one bag; (iii) the bags containing any given term induce a connected
-    subtree.  The edge set must itself form a single tree.
+    subtree.  The edge set must itself form a single tree.  Rooted at
+    ``td.root``, the bags holding a term are connected iff exactly one of
+    them is the root or has a parent whose bag lacks the term, so (iii)
+    takes one set difference per bag: every term of the union must be
+    added by exactly one bag.
     """
     if not td.is_tree():
         return False
@@ -74,14 +89,14 @@ def validate_tree_decomposition(td: TreeDecomposition, instance: Instance) -> bo
         needed = a.terms()
         if not any(needed <= bag for bag in td.bags):
             return False
-    occurrences: dict[Term, set[int]] = {}
-    for i, bag in enumerate(td.bags):
-        for t in bag:
-            occurrences.setdefault(t, set()).add(i)
-    return all(
-        reachable(td._adjacency, min(members), members) == members
-        for members in occurrences.values()
-    )
+    bags = td.bags
+    added: set[Term] = set()
+    for i, p in td._parent.items():
+        new = bags[i] if p is None else bags[i] - bags[p]
+        if not added.isdisjoint(new):
+            return False  # a second bag adds one of these terms
+        added |= new
+    return True
 
 
 def width_bound(kb: KnowledgeBase) -> int:

@@ -30,8 +30,10 @@ each through the public ``Derivation.extend``, and recurses; its
 The graph oracles are the reduction engine's and the graph checks' earlier
 code: they read only a graph's decorations, constants, provenance and arcs,
 recompute every node's term set, parents and frontier on each call, key
-search states by a sorted tuple, and search full reductions recursively.
-The side-condition oracle is the earlier per-operation validation that
+search states by a sorted tuple, and search full reductions recursively;
+the checks search once per null, per term or per prefix.  The tree
+oracle also rejects an edge or a root that names no bag, and a self-loop,
+which the earlier check let through.  The side-condition oracle is the earlier per-operation validation that
 ``apply_ar``, ``apply_tr`` and ``apply_cr`` ran before the move generator
 became the only definition of when a step applies.
 """
@@ -687,7 +689,9 @@ def _td_neighbors_oracle(td, i: int) -> list[int]:
 
 def validate_tree_decomposition_oracle(td, instance: Instance) -> bool:
     n = len(td.bags)
-    if len(td.edges) != n - 1:
+    if td.root not in range(n) or len(td.edges) != n - 1:
+        return False
+    if any(a not in range(n) or b not in range(n) or a == b for (a, b) in td.edges):
         return False
     seen = {td.root}
     stack = [td.root]

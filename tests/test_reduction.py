@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -22,6 +23,7 @@ from chasegraph.errors import ResourceLimitError, SideConditionViolatedError
 from chasegraph.reduction import (
     ArStep,
     CrStep,
+    ReductionTrace,
     TrStep,
     apply_ar,
     apply_cr,
@@ -328,6 +330,70 @@ def test_replay_detects_tampering(golden):
         broken.replay()
 
 
+def test_replay_rejects_graphs_with_other_node_facts(chain_kb, chain_derivation):
+    g = build_derivation_graph(chain_derivation, chain_kb)
+    trace = reduce_graph(g, "cr-only")
+    twin = build_derivation_graph(chain_derivation, chain_kb)  # equal facts, another object
+    assert twin.facts is not g.facts and twin.arcs == g.arcs
+    for p in range(len(trace.graphs)):
+        graphs = list(trace.graphs)
+        graphs[p] = DerivationGraph(twin.facts, graphs[p].arcs)
+        with pytest.raises(ValueError, match="node facts"):
+            ReductionTrace(g, trace.steps, tuple(graphs)).replay()
+        with pytest.raises(ValueError, match="node facts"):
+            check_prefix_invariants(ReductionTrace(g, trace.steps, tuple(graphs)))
+
+
+def _hand_facts(nulls_at, frontiers):
+    """(node facts, nulls x[0..3]): node i holds the nulls indexed by
+    ``nulls_at[i]`` and, from node 1 on, has the frontier indexed by
+    ``frontiers[i]``."""
+    x = [Null(800_000 + i) for i in range(4)]
+    at = tuple(frozenset(Atom("p", (x[i],)) for i in held) for held in nulls_at)
+    provenance = [None]
+    for k in range(1, len(at)):
+        vs = tuple(Variable(f"F{i}") for i in frontiers[k])
+        r = Rule(f"r{k}", frozenset({Atom("b", vs)}), frozenset({Atom("h", vs)}))
+        sub = Substitution({Variable(f"F{i}"): x[i] for i in frontiers[k]})
+        provenance.append((r, Trigger(r.rid, sub, sub)))
+    return NodeFacts.of(at, frozenset(), tuple(provenance)), x
+
+
+def test_prefix_invariants_on_a_hand_built_trace_with_escaping_labels():
+    # (3,4) and (0,1) escape their sources' terms from the start and come
+    # in the arc dict in the opposite of sorted order; X1's frontier {x3}
+    # is covered by no earlier node.  Each cr writes (0,4) anew at the end
+    # of the arc dict; the second also drops the escaping (3,4).
+    facts, x = _hand_facts(
+        [{0, 1}, {1}, {0, 1}, {2}, {0, 1}],
+        [(), (3,), (0,), (2,), (0, 1)],
+    )
+    g = DerivationGraph(facts, {
+        (3, 4): frozenset({x[0]}),
+        (0, 4): frozenset({x[0]}),
+        (1, 4): frozenset({x[1]}),
+        (0, 1): frozenset({x[3]}),
+        (0, 2): frozenset({x[0]}),
+        (1, 2): frozenset(),
+    })
+    steps = (ArStep(1, 2), CrStep(0, 1, 4, 0), CrStep(0, 3, 4, 0))
+    graphs = [g]
+    for step in steps:
+        graphs.append(apply_step(graphs[-1], step))
+    assert list(graphs[2].arcs) == [(3, 4), (0, 1), (0, 2), (0, 4)]
+    trace = ReductionTrace(g, steps, tuple(graphs))
+    assert trace.complete
+    report = check_prefix_invariants(trace)
+    assert report == check_prefix_invariants_oracle(trace)
+    escapes = [f"label of ({i},{j}) escapes terms(X{i})" for i, j in ((3, 4), (0, 1))]
+    uncovered = "no earlier node covers the frontier of X1"
+    assert report.failures == tuple(
+        [f"prefix {p}: {msg}" for p in range(3) for msg in escapes + [uncovered]]
+        + [f"prefix 3: {escapes[1]}", f"prefix 3: {uncovered}"])
+    assert (report.frontier_matches, report.labels_covered, report.frontier_witness) == \
+        (True, False, False)
+
+
 def test_full_reduction_deeper_than_the_recursion_limit():
     # X3 reads two copies of an n-ary atom, one made by X1 and one by X2, so
     # both arcs into X3 carry all n nulls; the first reduction found drops
@@ -428,39 +494,79 @@ def _reductions_match_the_oracles(g):
     return cr_only, full, states
 
 
-def _checks_match_the_oracles(g, traces, final, kb):
+def _decomposition_candidates(td: TreeDecomposition) -> dict[str, TreeDecomposition]:
+    """The extracted decomposition and variants the validation must judge
+    as the oracle does: bags reordered, an extra edge, two leaves' bags
+    swapped (a tree whose terms may be disconnected), a leaf's edge moved
+    to a bag that does not exist, and a root that names no bag."""
+    n = len(td.bags)
+    out = {
+        "extracted": td,
+        "shuffled": TreeDecomposition(td.bags[::-1], td.edges, td.root),
+        "cyclic": TreeDecomposition(td.bags, td.edges | {(0, n - 1)}, td.root),
+        "root out of range": TreeDecomposition(td.bags, td.edges, n),
+    }
+    degree = Counter(i for edge in td.edges for i in edge)
+    leaves = sorted(i for i in range(n) if degree[i] == 1)
+    if len(leaves) >= 2:
+        a, b = leaves[:2]
+        bags = list(td.bags)
+        bags[a], bags[b] = bags[b], bags[a]
+        out["leaves swapped"] = TreeDecomposition(tuple(bags), td.edges, td.root)
+        edge = next(e for e in td.edges if b in e)
+        out["edge to a missing bag"] = TreeDecomposition(
+            td.bags, td.edges - {edge} | {(td.root, n)}, td.root)
+    return out
+
+
+def _checks_match_the_oracles(g, traces, final, kb) -> Counter:
+    """Check the graph checks on every graph of every trace, the prefix
+    invariants on every prefix of every trace, and the extraction and
+    validation on each trace's final graph against the oracles; count the
+    validation verdicts by candidate."""
     traces = [t for t in traces if t is not None]
+    verdicts: Counter = Counter()
     for t in traces:
-        assert check_prefix_invariants(t) == check_prefix_invariants_oracle(t)
-    for h in [g] + [t.final for t in traces]:
+        for p in range(len(t.graphs)):
+            prefix = ReductionTrace(t.initial, t.steps[:p], t.graphs[:p + 1])
+            assert check_prefix_invariants(prefix) == check_prefix_invariants_oracle(prefix)
+    for h in [g] + [h for t in traces for h in t.graphs[1:]]:
+        assert [h.parents(n) for n in h.nodes] == \
+            [tuple(parents_oracle(h, n)) for n in h.nodes]
+        assert h.convergence_points() == \
+            tuple(n for n in h.nodes if in_degree_oracle(h, n) > 1)
         assert [node_frontier(h, n) for n in h.nodes] == \
             [node_frontier_oracle(h, n) for n in h.nodes]
         assert check_decomposition_properties(h, final, kb) == \
             check_decomposition_properties_oracle(h, final, kb)
         assert check_generative_paths(h) == check_generative_paths_oracle(h)
+    for t in traces:
+        td = extract_tree_decomposition(t.final)
+        assert td == extract_tree_decomposition_oracle(t.final)
+        for name, cand in _decomposition_candidates(td).items():
+            valid = validate_tree_decomposition(cand, final)
+            assert valid == validate_tree_decomposition_oracle(cand, final)
+            verdicts[name, valid] += 1
+    return verdicts
 
 
 def test_reductions_and_graph_checks_match_the_oracles():
+    verdicts: Counter = Counter()
     for kb, d in _parity_derivations():
         g = build_derivation_graph(d, kb)
         cr_only, full, _ = _reductions_match_the_oracles(g)
-        _checks_match_the_oracles(g, (cr_only, full), d.final, kb)
-        for n in g.nodes:
-            assert g.node_terms(n) == node_terms_oracle(g, n)
-            assert g.parents(n) == tuple(parents_oracle(g, n))
+        verdicts += _checks_match_the_oracles(g, (cr_only, full), d.final, kb)
         for x in d.final.nulls():
             assert x_generative_node(g, x) == \
                 next(i for i in g.nodes if x in nonconstant_terms_oracle(g, i))
-        for t in (cr_only, full):
-            if t is None:
-                continue
-            td = extract_tree_decomposition(t.final)
-            assert td == extract_tree_decomposition_oracle(t.final)
-            shuffled = TreeDecomposition(td.bags[::-1], td.edges, td.root)
-            cyclic = TreeDecomposition(td.bags, td.edges | {(0, len(td.bags) - 1)}, td.root)
-            for cand in (td, shuffled, cyclic):
-                assert validate_tree_decomposition(cand, d.final) == \
-                    validate_tree_decomposition_oracle(cand, d.final)
+        for n in g.nodes:
+            assert g.node_terms(n) == node_terms_oracle(g, n)
+    # the swapped leaves split some term's bags, and a bag on no edge or a
+    # root outside the bags never validates
+    assert verdicts["leaves swapped", False] > 0
+    assert verdicts["extracted", True] > 0 and verdicts["extracted", False] == 0
+    assert verdicts["edge to a missing bag", True] == 0
+    assert verdicts["root out of range", True] == 0
 
 
 def test_state_keys_agree_with_the_sorted_tuple_keys():
@@ -509,16 +615,22 @@ def test_reductions_and_checks_match_the_oracles_on_random_graphs():
     rng = random.Random(4014)
     kb = KnowledgeBase(Instance(), (Rule("w", frozenset({Atom("q", (X,))}),
                                          frozenset({Atom("q", (X, Y))})),))
-    backtracked, answers = 0, set()
+    backtracked, forests, answers, verdicts = 0, 0, set(), Counter()
     for _ in range(300):
         g = _random_graph(rng)
         cr_only, full, states = _reductions_match_the_oracles(g)
         answers |= _reducibility_matches_the_oracle(
             [apply_step_oracle(g, step) for step in moves_oracle(g)])
-        _checks_match_the_oracles(g, (cr_only, full), Instance(frozenset().union(*g.at)), kb)
+        verdicts += _checks_match_the_oracles(
+            g, (cr_only, full), Instance(frozenset().union(*g.at)), kb)
         backtracked += full is not None and states > len(full.steps)
+        trees = max((sum(1 for n in t.final.nodes if not in_degree_oracle(t.final, n))
+                     for t in (cr_only, full) if t is not None), default=0)
+        forests += trees >= 3
     assert backtracked > 0  # graphs where the oracle backtracks and the search does not
     assert answers == {True, False}  # successors of a root are met live and dead
+    assert forests > 0  # reduced graphs of three or more trees are extracted
+    assert verdicts["leaves swapped", False] > 0 and verdicts["extracted", False] > 0
 
 
 def test_the_walk_moves_only_from_reducible_random_graphs():
@@ -569,6 +681,10 @@ def _steps_match_the_oracles(g: DerivationGraph) -> set[type]:
         else:
             assert legal, step
             assert reduced.arcs == apply_step_oracle(g, step).arcs
+            assert [reduced.parents(n) for n in g.nodes] == \
+                [tuple(parents_oracle(reduced, n)) for n in g.nodes]
+            assert reduced.convergence_points() == \
+                tuple(n for n in g.nodes if in_degree_oracle(reduced, n) > 1)
             accepted.add(type(step))
     return accepted
 

@@ -4,7 +4,7 @@ from chasegraph.chase import Derivation
 from chasegraph.derivgraph import build_derivation_graph
 from chasegraph.errors import NotCycleFreeError
 from chasegraph.model import Atom, Constant, Instance, KnowledgeBase, Rule, Substitution
-from chasegraph.reduction import reduce_graph
+from chasegraph.reduction import apply_ar, reduce_graph
 from chasegraph.treedecomp import (
     TreeDecomposition,
     extract_tree_decomposition,
@@ -13,6 +13,7 @@ from chasegraph.treedecomp import (
 )
 
 from conftest import A, B, X, Y, chain_nulls
+from oracles import extract_tree_decomposition_oracle, validate_tree_decomposition_oracle
 
 
 def test_extraction_from_reduced_golden_graph(chain_kb, chain_derivation):
@@ -81,6 +82,67 @@ def test_disconnected_occurrence_fails():
     bags = (frozenset({A, n}), frozenset({A}), frozenset({A, n}))
     td = TreeDecomposition(bags, frozenset({(0, 1), (1, 2)}), 0)
     assert not validate_tree_decomposition(td, Instance({Atom("p", (A, n))}))
+
+
+C = Constant("c")
+ABC = Instance({Atom("p", (A, B)), Atom("q", (C,))})
+
+
+@pytest.mark.parametrize("td", [
+    # two edges for three bags, but one names bag 7 and bag 2 is on none
+    TreeDecomposition((frozenset({A}), frozenset({A, B}), frozenset({C})),
+                      frozenset({(0, 1), (0, 7)}), 0),
+    # one bag and no edges, rooted at a bag that does not exist
+    TreeDecomposition((frozenset({A, B, C}),), frozenset(), 5),
+    TreeDecomposition((frozenset({A, B}), frozenset({C})), frozenset({(0, 1)}), -1),
+    # two bags joined by a self-loop instead of an edge
+    TreeDecomposition((frozenset({A, B}), frozenset({C})), frozenset({(1, 1)}), 0),
+])
+def test_edges_and_root_must_name_bags(td):
+    assert not td.is_tree()
+    assert not validate_tree_decomposition(td, ABC)
+    assert not validate_tree_decomposition_oracle(td, ABC)
+
+
+def test_swapped_leaf_bags_disconnect_a_term():
+    # on the path 0-1-2-3, swapping the bags of the leaves 0 and 3 keeps a
+    # tree but leaves B's bags {0, 2} apart
+    bags = (frozenset({A}), frozenset({A}), frozenset({A, B}), frozenset({B, C}))
+    edges = frozenset({(0, 1), (1, 2), (2, 3)})
+    swapped = bags[3:] + bags[1:3] + bags[:1]
+    for root in range(4):
+        td = TreeDecomposition(bags, edges, root)
+        other = TreeDecomposition(swapped, edges, root)
+        assert other.is_tree()
+        assert validate_tree_decomposition(td, ABC) == \
+            validate_tree_decomposition_oracle(td, ABC) is True
+        assert validate_tree_decomposition(other, ABC) == \
+            validate_tree_decomposition_oracle(other, ABC) is False
+
+
+def test_extraction_links_three_trees():
+    # X1, X2 and X3 each read a database constant only, so every arc is
+    # empty; the full reduction is the graph itself (no convergence point),
+    # and dropping the arcs by hand leaves one tree per node
+    mk = [Rule(f"m{i}", frozenset({Atom(f"p{i}", (X,))}), frozenset({Atom(f"q{i}", (X, Y))}))
+          for i in range(3)]
+    kb = KnowledgeBase(Instance({Atom(f"p{i}", (c,)) for i, c in enumerate((A, B, C))}),
+                       tuple(mk))
+    d = Derivation(kb.database)
+    for r, c in zip(mk, (A, B, C)):
+        d = d.extend(r, Substitution({X: c}))
+    g = build_derivation_graph(d, kb)
+    assert all(not lbl for lbl in g.arcs.values())
+    forest = g
+    for (i, j) in sorted(g.arcs)[1:]:
+        forest = apply_ar(forest, i, j)
+    roots = [n for n in forest.nodes if not forest.in_degree(n)]
+    assert len(roots) == 3
+    td = extract_tree_decomposition(forest)
+    assert td == extract_tree_decomposition_oracle(forest)
+    assert td.is_tree() and td.root == 0
+    assert validate_tree_decomposition(td, d.final) == \
+        validate_tree_decomposition_oracle(td, d.final) is True
 
 
 def test_width_bounds(chain_kb, join_kb):
