@@ -7,7 +7,6 @@ unknown-at-depth, 2 for usage and parse errors.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from pathlib import Path
 
@@ -15,12 +14,12 @@ from . import render
 from .analysis import is_greedy, rule_dependency_graph
 from .chase import Derivation, chase_k, enumerate_derivations
 from .classify import CLASSES, classify, entails
-from .derivgraph import build_derivation_graph, check_decomposition_properties
+from .derivgraph import build_derivation_graph
 from .docparse import RuleDocument, parse_document, print_document
 from .errors import EngineError, ParseError, ResourceLimitError
 from .model import KnowledgeBase, term_key
-from .randkb import random_kb
 from .reduction import check_prefix_invariants, reduce_graph
+from .selfcheck import check_corpus
 from .treedecomp import extract_tree_decomposition, validate_tree_decomposition
 
 
@@ -232,34 +231,13 @@ def cmd_entail(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    rng = random.Random(args.seed)
-    checked = violations = skipped = 0
-    while checked < args.kbs:
-        kb = random_kb(rng)
-        try:
-            derivations = list(enumerate_derivations(
-                kb.database, kb.rules, args.max_len, max_derivations=args.budget,
-            ))
-        except ResourceLimitError:
-            skipped += 1
-            continue
-        checked += 1
-        for d in derivations:
-            greedy = is_greedy(d, kb).greedy
-            g = build_derivation_graph(d, kb)
-            full = reduce_graph(g, "full") is not None
-            cr_only = reduce_graph(g, "cr-only") is not None
-            if not (greedy == full == cr_only):
-                violations += 1
-                print(f"violation: greedy={greedy} full={full} cr-only={cr_only} "
-                      f"rules={d.rule_ids()}", file=sys.stderr)
-            if not check_decomposition_properties(g, d.final, kb).ok:
-                violations += 1
-                print(f"violation: decomposition properties, rules={d.rule_ids()}",
-                      file=sys.stderr)
-    print(f"selfcheck: {checked} knowledge bases, {skipped} skipped (budget), "
-          f"{violations} violations")
-    return 0 if violations == 0 else 1
+    report = check_corpus(args.seed, args.kbs, args.max_len, args.budget)
+    for draw, rules, category, message in report.failures:
+        print(f"{category}: kb {draw} rules=[{' '.join(rules)}]: {message}", file=sys.stderr)
+    print(f"selfcheck: {report.kbs} knowledge bases, {report.skipped} skipped (budget), "
+          f"{report.derivations} derivations, {report.nongreedy} non-greedy, "
+          f"{report.complete_traces} complete traces, {len(report.failures)} violations")
+    return 0 if not report.failures else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entail)
 
     p = sub.add_parser("selfcheck",
-                       help="randomized greediness/reducibility agreement check")
+                       help="run every self-check on the derivations of random KBs")
     p.add_argument("--kbs", type=_int_at_least(0), default=100)
     p.add_argument("--max-len", type=_int_at_least(0), default=3)
     p.add_argument("--seed", type=int, default=0)

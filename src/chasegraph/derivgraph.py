@@ -69,7 +69,7 @@ class NodeFacts:
         own = [terms_of(atoms) for atoms in at]
         frontier = tuple(
             frozenset() if prov is None
-            else frozenset(prov[1].extension[v] for v in prov[0].frontier) - constants
+            else frozenset(prov[1].extension.mapping[v] for v in prov[0].frontier) - constants
             for prov in provenance
         )
         occurrences: dict[Term, list[int]] = {}
@@ -272,7 +272,7 @@ def build_derivation_graph(d: Derivation, kb: KnowledgeBase) -> DerivationGraph:
         for fa in step.rule.sorted_frontier_atoms:
             image = hom.apply_atom(fa)
             i = owner[image]
-            contribution = frozenset(hom[v] for v in fa.terms() & fr) - constants
+            contribution = frozenset(hom.mapping[v] for v in fa.terms() & fr) - constants
             arcs[(i, j)] = arcs.get((i, j), frozenset()) | contribution
         for a in new:
             owner[a] = j

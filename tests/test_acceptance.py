@@ -9,8 +9,8 @@ analysis and test_classify pins the actual behavior.
 
 from __future__ import annotations
 
-import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -20,16 +20,14 @@ from chasegraph.analysis import (
     permute_adjacent,
     rule_dependency_graph,
 )
-from chasegraph.chase import chase_levels, enumerate_derivations
+from chasegraph.chase import chase_levels
 from chasegraph.classify import HOLDS, REFUTED, classify
 from chasegraph.derivgraph import (
     build_derivation_graph,
     check_decomposition_properties,
     check_generative_paths,
 )
-from chasegraph.errors import ResourceLimitError
 from chasegraph.model import Atom, BooleanQuery, Variable
-from chasegraph.randkb import random_kb
 from chasegraph.reduction import (
     ArStep,
     CrStep,
@@ -39,6 +37,7 @@ from chasegraph.reduction import (
     is_cycle_free,
     reduce_graph,
 )
+from chasegraph.selfcheck import DECOMPOSITION, EQUIVALENCE, PATH, PREFIX, TD, check_corpus
 from chasegraph.treedecomp import (
     extract_tree_decomposition,
     validate_tree_decomposition,
@@ -61,60 +60,15 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared corpus for criteria 6-9 (one pass, counters only)
+# shared corpus for criteria 6-9 (one selfcheck pass, counters only)
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def corpus():
-    rng = random.Random(CORPUS_SEED)
-    stats = {
-        "kbs": 0, "skipped": 0, "derivations": 0, "nongreedy": 0,
-        "complete_traces": 0, "equiv_violations": 0, "decomp_violations": 0,
-        "td_violations": 0, "prefix_violations": 0, "path_violations": 0,
-    }
+    """The corpus report, its failure counts by category, and its run time."""
     start = time.time()
-    while stats["kbs"] < CORPUS_KBS:
-        kb = random_kb(rng)
-        try:
-            derivations = list(enumerate_derivations(
-                kb.database, kb.rules, 3, dedup="mod-nulls", max_derivations=1200,
-            ))
-        except ResourceLimitError:
-            stats["skipped"] += 1
-            continue
-        stats["kbs"] += 1
-        bound = width_bound(kb)
-        for d in derivations:
-            stats["derivations"] += 1
-            graph = build_derivation_graph(d, kb)
-            greedy = is_greedy(d, kb).greedy
-            stats["nongreedy"] += not greedy
-            cr_trace = reduce_graph(graph, "cr-only")
-            full_trace = reduce_graph(graph, "full")
-            if not (greedy == (cr_trace is not None) == (full_trace is not None)):
-                stats["equiv_violations"] += 1
-            if not check_decomposition_properties(graph, d.final, kb).ok:
-                stats["decomp_violations"] += 1
-            if check_generative_paths(graph):
-                stats["path_violations"] += 1
-            for trace in (cr_trace, full_trace):
-                if trace is None:
-                    continue
-                stats["complete_traces"] += 1
-                if not check_prefix_invariants(trace).ok:
-                    stats["prefix_violations"] += 1
-                for reduced in trace.graphs[1:]:
-                    if not check_decomposition_properties(reduced, d.final, kb).ok:
-                        stats["decomp_violations"] += 1
-                    if check_generative_paths(reduced):
-                        stats["path_violations"] += 1
-                td = extract_tree_decomposition(trace.final)
-                if not validate_tree_decomposition(td, d.final):
-                    stats["td_violations"] += 1
-                if max(len(bag) for bag in td.bags) > bound:
-                    stats["td_violations"] += 1
-    stats["elapsed"] = time.time() - start
-    return stats
+    report = check_corpus(CORPUS_SEED, CORPUS_KBS, max_len=3, budget=1200)
+    return report, Counter(category for _, _, category, _ in report.failures), time.time() - start
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +177,17 @@ def test_criterion_5_bounded_class_verdicts(join_kb):
 
 
 def test_criterion_6_equivalence_corpus(corpus):
+    report, failures, elapsed = corpus
     ok = (
-        corpus["kbs"] >= CORPUS_KBS
-        and corpus["equiv_violations"] == 0
-        and corpus["nongreedy"] > 0  # both sides of the equivalence exercised
-        and corpus["elapsed"] < 600.0
+        report.kbs >= CORPUS_KBS
+        and failures[EQUIVALENCE] == 0
+        and report.nongreedy > 0  # both sides of the equivalence exercised
+        and elapsed < 600.0
     )
     _report(6, "greedy <=> reducible on random corpus", ok,
-            f"{corpus['kbs']} KBs, {corpus['derivations']} derivations "
-            f"({corpus['nongreedy']} non-greedy), "
-            f"{corpus['equiv_violations']} violations, {corpus['elapsed']:.1f}s")
+            f"{report.kbs} KBs, {report.derivations} derivations "
+            f"({report.nongreedy} non-greedy), "
+            f"{failures[EQUIVALENCE]} violations, {elapsed:.1f}s")
 
 
 def test_criterion_7_decomposition_properties(corpus, chain_kb, chain_derivation,
@@ -252,9 +207,9 @@ def test_criterion_7_decomposition_properties(corpus, chain_kb, chain_derivation
         check_decomposition_properties(gr, chain_derivation.final, chain_kb).ok
         for gr in trace.graphs
     )
-    ok = golden_ok and corpus["decomp_violations"] == 0
-    _report(7, "decomposition properties 1-4", ok,
-            f"bounds 5/8, corpus violations {corpus['decomp_violations']}")
+    violations = corpus[1][DECOMPOSITION]
+    _report(7, "decomposition properties 1-4", golden_ok and violations == 0,
+            f"bounds 5/8, corpus violations {violations}")
 
 
 def test_criterion_8_tree_decompositions(corpus, chain_kb, chain_derivation):
@@ -266,10 +221,10 @@ def test_criterion_8_tree_decompositions(corpus, chain_kb, chain_derivation):
         and validate_tree_decomposition(td, chain_derivation.final)
         and max(len(b) for b in td.bags) <= width_bound(chain_kb)
     )
-    ok = golden_ok and corpus["td_violations"] == 0
-    _report(8, "tree decompositions validate", ok,
-            f"golden width {td.width}, corpus violations {corpus['td_violations']}, "
-            f"{corpus['complete_traces']} complete traces")
+    report, failures, _ = corpus
+    _report(8, "tree decompositions validate", golden_ok and failures[TD] == 0,
+            f"golden width {td.width}, corpus violations {failures[TD]}, "
+            f"{report.complete_traces} complete traces")
 
 
 def test_criterion_9_prefix_and_path_invariants(corpus, chain_kb, chain_derivation):
@@ -287,14 +242,10 @@ def test_criterion_9_prefix_and_path_invariants(corpus, chain_kb, chain_derivati
         check_prefix_invariants(golden_trace).ok
         and all(not check_generative_paths(gr) for gr in graphs)
     )
-    ok = (
-        golden_ok
-        and corpus["prefix_violations"] == 0
-        and corpus["path_violations"] == 0
-    )
-    _report(9, "prefix and generative-path invariants", ok,
-            f"corpus prefix/path violations "
-            f"{corpus['prefix_violations']}/{corpus['path_violations']}")
+    failures = corpus[1]
+    _report(9, "prefix and generative-path invariants",
+            golden_ok and failures[PREFIX] == 0 and failures[PATH] == 0,
+            f"corpus prefix/path violations {failures[PREFIX]}/{failures[PATH]}")
 
 
 def test_criterion_10_entailment(join_kb, chain_kb):

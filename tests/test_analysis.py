@@ -260,7 +260,7 @@ def test_permute_preserves_greediness_on_random_runs():
         kb = random_kb(rng)
         try:
             derivations = list(enumerate_derivations(
-                kb.database, kb.rules, 3, dedup="mod-nulls", max_derivations=400
+                kb.database, kb.rules, 3, max_derivations=400
             ))
         except ResourceLimitError:
             continue
@@ -326,7 +326,7 @@ def test_rederive_database_itself(join_kb):
 def test_rederive_on_guarded_single_rule():
     r = Rule("g", frozenset({Atom("e", (X, Y))}), frozenset({Atom("e", (Y, Z))}))
     kb = KnowledgeBase(Instance({Atom("e", (A, B))}), (r,))
-    for d in enumerate_derivations(kb.database, kb.rules, 3, dedup="mod-nulls"):
+    for d in enumerate_derivations(kb.database, kb.rules, 3):
         assert is_greedy(d, kb).greedy
         witness = find_greedy_rederivation(kb, d.final, len(d))
         assert witness is not None
@@ -335,7 +335,7 @@ def test_rederive_on_guarded_single_rule():
 
 def test_all_greedy_implies_rederivable(chain_kb):
     seen = []
-    for d in enumerate_derivations(chain_kb.database, chain_kb.rules, 3, dedup="mod-nulls"):
+    for d in enumerate_derivations(chain_kb.database, chain_kb.rules, 3):
         assert is_greedy(d, chain_kb).greedy
         seen.append(d)
     for d in seen:

@@ -180,7 +180,7 @@ def test_enumerate_length_one_mod_nulls(join_kb):
 def test_enumerate_contains_recorded_class(join_kb, nongreedy_join_derivation):
     keys = {
         derivation_key(d)
-        for d in enumerate_derivations(join_kb.database, join_kb.rules, 4, dedup="mod-nulls")
+        for d in enumerate_derivations(join_kb.database, join_kb.rules, 4)
         if len(d) == 4
     }
     assert derivation_key(nongreedy_join_derivation) in keys
@@ -188,7 +188,7 @@ def test_enumerate_contains_recorded_class(join_kb, nongreedy_join_derivation):
 
 def test_enumerated_derivations_validate(chain_kb):
     count = 0
-    for d in enumerate_derivations(chain_kb.database, chain_kb.rules, 3, dedup="mod-nulls"):
+    for d in enumerate_derivations(chain_kb.database, chain_kb.rules, 3):
         d.validate()
         count += 1
     assert count == 10  # 1 empty + 1 + 2 + 6 by hand over the chain rules
@@ -209,7 +209,7 @@ def test_skip_redundant_drops_no_new_atom_steps():
 
 def test_soundness_derived_instances_embed_in_chase(chain_kb):
     level3 = chase_k(chain_kb.database, chain_kb.rules, 3)
-    for d in enumerate_derivations(chain_kb.database, chain_kb.rules, 3, dedup="mod-nulls"):
+    for d in enumerate_derivations(chain_kb.database, chain_kb.rules, 3):
         assert hom_exists(d.final.atoms, level3)
 
 

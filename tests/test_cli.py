@@ -1,7 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from chasegraph import selfcheck
 from chasegraph.cli import main
 from conftest import subprocess_env
 
@@ -201,9 +203,20 @@ def test_entail_exit_codes(join_file, chain_file, capsys):
 
 
 def test_selfcheck_small_run(capsys):
+    report = selfcheck.check_corpus(3, 5, 2, 2000)  # the CLI's default --budget
+    assert report.derivations and report.complete_traces
     assert main(["selfcheck", "--kbs", "5", "--max-len", "2", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "0 violations" in out
+    assert (f"selfcheck: {report.kbs} knowledge bases, {report.skipped} skipped (budget), "
+            f"{report.derivations} derivations, {report.nongreedy} non-greedy, "
+            f"{report.complete_traces} complete traces, 0 violations"
+            ) in capsys.readouterr().out
+
+
+def test_selfcheck_reports_prefix_invariant_failures(monkeypatch, capsys):
+    monkeypatch.setattr(selfcheck, "check_prefix_invariants",
+                        lambda trace: SimpleNamespace(ok=False))
+    assert main(["selfcheck", "--kbs", "2", "--max-len", "2"]) == 1
+    assert "prefix: kb 0 rules=[" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag, lowest", [
