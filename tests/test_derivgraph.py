@@ -1,6 +1,6 @@
 import pytest
 
-from chasegraph.chase import Derivation
+from chasegraph.chase import Derivation, enumerate_derivations
 from chasegraph.derivgraph import (
     DerivationGraph,
     build_derivation_graph,
@@ -172,3 +172,11 @@ def test_rederived_atom_belongs_to_first_creator():
     g = build_derivation_graph(d, kb)
     assert g.at[2] != frozenset()  # the w-atom is new, q(a) is not
     assert (1, 2) in g.arcs
+
+
+def test_all_enumerated_graphs_satisfy_invariants(join_kb):
+    for d in enumerate_derivations(join_kb.database, join_kb.rules, 3):
+        g = build_derivation_graph(d, join_kb)
+        report = check_decomposition_properties(g, d.final, join_kb)
+        assert report.ok, report.failures
+        assert check_generative_paths(g) == []

@@ -191,6 +191,19 @@ def test_greedy_graph_reduces_both_ways(join_kb, greedy_join_derivation):
         assert check_prefix_invariants(trace).ok
 
 
+def test_greedy_iff_reducible_exhaustive_on_join_kb(join_kb):
+    from chasegraph.analysis import is_greedy
+
+    nongreedy_seen = 0
+    for d in enumerate_derivations(join_kb.database, join_kb.rules, 3):
+        g = build_derivation_graph(d, join_kb)
+        greedy = is_greedy(d, join_kb).greedy
+        nongreedy_seen += not greedy
+        assert greedy == (reduce_graph(g, "cr-only") is not None)
+        assert greedy == (reduce_graph(g, "full") is not None)
+    assert nongreedy_seen > 0  # the crossing join occurs from length 3 on
+
+
 def test_reduce_full_state_cap(golden, join_kb, nongreedy_join_derivation):
     # the nongreedy join graph: deciding its one convergence point X4 visits
     # one state (no move applies there), then the search visits the dead
