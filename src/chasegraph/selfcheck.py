@@ -1,13 +1,11 @@
-"""The self-check: every engine check, run on one derivation
-(``check_derivation``) or on each derivation of seeded random knowledge
-bases (``check_corpus``, which ``chasegraph selfcheck`` and the acceptance
-corpus run)."""
+"""The self-check: every engine check on one derivation (``check_derivation``)
+or on the derivations of seeded random knowledge bases (``check_corpus``, run
+by ``chasegraph selfcheck`` and the acceptance corpus)."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .analysis import is_greedy
 from .chase import Derivation, enumerate_derivations
@@ -22,34 +20,21 @@ from .randkb import random_kb
 from .reduction import check_prefix_invariants, reduce_graph
 from .treedecomp import extract_tree_decomposition, validate_tree_decomposition
 
-# Failure categories.
-EQUIVALENCE = "equivalence"      # greedy, cr-only complete and full complete disagree
-DECOMPOSITION = "decomposition"  # check_decomposition_properties, per graph
-PATH = "path"                    # check_generative_paths, per graph
-PREFIX = "prefix"                # check_prefix_invariants, per complete trace
-TD = "td"                        # tree decomposition validation and width bound, per trace
 
-
-class DerivationCheck(NamedTuple):
-    greedy: bool
-    complete_traces: int  # how many of the cr-only and full reductions complete
-    failures: tuple[tuple[str, str], ...]  # (category, message) pairs
-
-
-def check_derivation(d: Derivation, kb: KnowledgeBase, bound: int) -> DerivationCheck:
-    """``is_greedy``; the graph and both reductions; decomposition properties
-    and generative paths of the graph and of every reduced graph; prefix
-    invariants of each complete trace; and per complete trace a tree
-    decomposition that validates against ``d.final`` and has no bag of more
-    than ``bound`` terms.  Each failing graph or trace gives one failure, a
-    tree decomposition up to two."""
+def check_derivation(d: Derivation, kb: KnowledgeBase) -> tuple[bool, int, list[tuple[str, str]]]:
+    """``(greedy, complete traces, failures)`` of ``d``, checking: ``is_greedy``
+    against both reductions; decomposition properties and generative paths of
+    the graph and of every reduced graph; and per complete trace the prefix
+    invariants and a tree decomposition that validates and has no bag above
+    ``kb.width_bound``.  Failures are (category, message) pairs, one per
+    failing graph or trace (two for a tree decomposition)."""
     failures: list[tuple[str, str]] = []
 
     def check_graph(g, where: str) -> None:
         if not check_decomposition_properties(g, d.final, kb).ok:
-            failures.append((DECOMPOSITION, f"decomposition properties fail on {where}"))
+            failures.append(("decomposition", f"decomposition properties fail on {where}"))
         if check_generative_paths(g):
-            failures.append((PATH, f"generative paths fail on {where}"))
+            failures.append(("path", f"generative paths fail on {where}"))
 
     graph = build_derivation_graph(d, kb)
     greedy = is_greedy(d, kb).greedy
@@ -59,20 +44,20 @@ def check_derivation(d: Derivation, kb: KnowledgeBase, bound: int) -> Derivation
     traces = [t for t in (cr_trace, full_trace) if t is not None]
     for trace in traces:
         if not check_prefix_invariants(trace).ok:
-            failures.append((PREFIX, "prefix invariants fail"))
+            failures.append(("prefix", "prefix invariants fail"))
         for reduced in trace.graphs[1:]:
             check_graph(reduced, "a reduced graph")
         td = extract_tree_decomposition(trace.final)
         if not validate_tree_decomposition(td, d.final):
-            failures.append((TD, "tree decomposition does not validate"))
+            failures.append(("td", "tree decomposition does not validate"))
         bag = max(len(b) for b in td.bags)
-        if bag > bound:
-            failures.append((TD, f"bag of {bag} terms exceeds width_bound {bound}"))
+        if bag > kb.width_bound:
+            failures.append(("td", f"bag of {bag} terms exceeds width_bound {kb.width_bound}"))
     cr_complete, full_complete = cr_trace is not None, full_trace is not None
     if not (greedy == cr_complete == full_complete):
-        failures.append((EQUIVALENCE,
+        failures.append(("equivalence",
                          f"greedy={greedy} cr-only={cr_complete} full={full_complete}"))
-    return DerivationCheck(greedy, len(traces), tuple(failures))
+    return greedy, len(traces), failures
 
 
 @dataclass
@@ -95,17 +80,16 @@ def check_corpus(seed: int, kbs: int, max_len: int, budget: int) -> CorpusReport
         draw = report.kbs + report.skipped
         kb = random_kb(rng)
         try:
-            derivations = list(enumerate_derivations(
-                kb.database, kb.rules, max_len, max_derivations=budget,
-            ))
+            derivations = list(enumerate_derivations(kb.database, kb.rules, max_len,
+                                                     max_derivations=budget))
         except ResourceLimitError:
             report.skipped += 1
             continue
         report.kbs += 1
         for d in derivations:
-            check = check_derivation(d, kb, kb.width_bound)
+            greedy, complete_traces, failures = check_derivation(d, kb)
             report.derivations += 1
-            report.nongreedy += not check.greedy
-            report.complete_traces += check.complete_traces
-            report.failures += [(draw, d.rule_ids(), *f) for f in check.failures]
+            report.nongreedy += not greedy
+            report.complete_traces += complete_traces
+            report.failures += [(draw, d.rule_ids(), *f) for f in failures]
     return report

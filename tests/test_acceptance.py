@@ -37,7 +37,7 @@ from chasegraph.reduction import (
     is_cycle_free,
     reduce_graph,
 )
-from chasegraph.selfcheck import DECOMPOSITION, EQUIVALENCE, PATH, PREFIX, TD, check_corpus
+from chasegraph.selfcheck import check_corpus
 from chasegraph.treedecomp import (
     extract_tree_decomposition,
     validate_tree_decomposition,
@@ -178,16 +178,17 @@ def test_criterion_5_bounded_class_verdicts(join_kb):
 
 def test_criterion_6_equivalence_corpus(corpus):
     report, failures, elapsed = corpus
+    totals = (report.kbs, report.skipped, report.derivations, report.nongreedy,
+              report.complete_traces)
     ok = (
-        report.kbs >= CORPUS_KBS
-        and failures[EQUIVALENCE] == 0
-        and report.nongreedy > 0  # both sides of the equivalence exercised
+        totals == (CORPUS_KBS, 2, 11370, 56, 22628)
+        and failures["equivalence"] == 0
         and elapsed < 600.0
     )
     _report(6, "greedy <=> reducible on random corpus", ok,
             f"{report.kbs} KBs, {report.derivations} derivations "
             f"({report.nongreedy} non-greedy), "
-            f"{failures[EQUIVALENCE]} violations, {elapsed:.1f}s")
+            f"{failures['equivalence']} violations, {elapsed:.1f}s")
 
 
 def test_criterion_7_decomposition_properties(corpus, chain_kb, chain_derivation,
@@ -207,7 +208,7 @@ def test_criterion_7_decomposition_properties(corpus, chain_kb, chain_derivation
         check_decomposition_properties(gr, chain_derivation.final, chain_kb).ok
         for gr in trace.graphs
     )
-    violations = corpus[1][DECOMPOSITION]
+    violations = corpus[1]["decomposition"]
     _report(7, "decomposition properties 1-4", golden_ok and violations == 0,
             f"bounds 5/8, corpus violations {violations}")
 
@@ -222,8 +223,8 @@ def test_criterion_8_tree_decompositions(corpus, chain_kb, chain_derivation):
         and max(len(b) for b in td.bags) <= width_bound(chain_kb)
     )
     report, failures, _ = corpus
-    _report(8, "tree decompositions validate", golden_ok and failures[TD] == 0,
-            f"golden width {td.width}, corpus violations {failures[TD]}, "
+    _report(8, "tree decompositions validate", golden_ok and failures["td"] == 0,
+            f"golden width {td.width}, corpus violations {failures['td']}, "
             f"{report.complete_traces} complete traces")
 
 
@@ -244,8 +245,8 @@ def test_criterion_9_prefix_and_path_invariants(corpus, chain_kb, chain_derivati
     )
     failures = corpus[1]
     _report(9, "prefix and generative-path invariants",
-            golden_ok and failures[PREFIX] == 0 and failures[PATH] == 0,
-            f"corpus prefix/path violations {failures[PREFIX]}/{failures[PATH]}")
+            golden_ok and failures["prefix"] == 0 and failures["path"] == 0,
+            f"corpus prefix/path violations {failures['prefix']}/{failures['path']}")
 
 
 def test_criterion_10_entailment(join_kb, chain_kb):
