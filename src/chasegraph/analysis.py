@@ -55,40 +55,18 @@ class RuleDependencyGraph:
         """Topological depth over the condensation of the dependence graph.
 
         Rules in a dependence cycle share a layer; a rule's layer is one more
-        than the deepest layer it depends on outside its own cycle.
+        than the deepest layer it depends on outside its own cycle.  A strict
+        ancestor u of v (v not among u's ancestors) has fewer ancestors than
+        v, so taking rules by ancestor count decides every u before v.
         """
-        succ = {v: set() for v in self.vertices}
-        pred = {v: set() for v in self.vertices}
+        pred: dict[str, list[str]] = {v: [] for v in self.vertices}
         for a, b in self.edges:
-            succ[a].add(b)
-            pred[b].add(a)
-        # Tarjan-free SCC via repeated reachability; rule sets are tiny.
-        sccs: list[set[str]] = []
-        assigned: set[str] = set()
-        for v in self.vertices:
-            if v in assigned:
-                continue
-            reach_fwd = reachable(succ, v)
-            reach_bwd = reachable(pred, v)
-            comp = (reach_fwd & reach_bwd) | {v}
-            comp -= assigned
-            sccs.append(comp)
-            assigned |= comp
-        comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
-        layer_of_comp: dict[int, int] = {}
-
-        def comp_layer(ci: int) -> int:
-            if ci in layer_of_comp:
-                return layer_of_comp[ci]
-            parents = {
-                comp_of[a]
-                for a, b in self.edges
-                if comp_of[b] == ci and comp_of[a] != ci
-            }
-            layer_of_comp[ci] = 0 if not parents else 1 + max(comp_layer(p) for p in parents)
-            return layer_of_comp[ci]
-
-        return {v: comp_layer(comp_of[v]) for v in self.vertices}
+            pred[b].append(a)
+        anc = {v: reachable(pred, v) for v in self.vertices}
+        layer: dict[str, int] = {}
+        for v in sorted(self.vertices, key=lambda v: len(anc[v])):
+            layer[v] = max((layer[u] + 1 for u in anc[v] if v not in anc[u]), default=0)
+        return {v: layer[v] for v in self.vertices}
 
 
 def _rename_apart(r: Rule, taken: frozenset[Variable]) -> Rule:
@@ -300,21 +278,16 @@ def normalize_by_grd(d: Derivation, grd: RuleDependencyGraph) -> Derivation:
 # ---------------------------------------------------------------------------
 
 def group_derivations(
-    kb: KnowledgeBase, max_len: int, shortest_only: bool = False
+    kb: KnowledgeBase, max_len: int
 ) -> dict[tuple, tuple[Instance, list[Derivation]]]:
     """Derivations up to max_len, one per trace (``dedup="traces"``), by the
     canonical key of their final instance: key -> (first final instance seen,
-    members in enumeration order).  With shortest_only, a group keeps only
-    its members of the least length seen.  The pass reuses the form of each
+    members in enumeration order).  The pass reuses the form of each
     component a step left unchanged (``homs.canonical_key``)."""
     key = _pass_key()
     groups: dict[tuple, tuple[Instance, list[Derivation]]] = {}
     for d in enumerate_derivations(kb.database, kb.rules, max_len, dedup="traces"):
-        _, members = groups.setdefault(key(d.final), (d.final, []))
-        if shortest_only and members and len(d) < len(members[0]):
-            members.clear()
-        if not shortest_only or not members or len(d) == len(members[0]):
-            members.append(d)
+        groups.setdefault(key(d.final), (d.final, []))[1].append(d)
     return groups
 
 

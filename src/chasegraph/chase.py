@@ -269,7 +269,6 @@ def enumerate_derivations(
     rules: Sequence[Rule],
     max_len: int,
     dedup: str = "none",
-    skip_redundant: bool = False,
     max_derivations: int = DEFAULT_MAX_DERIVATIONS,
 ) -> Iterator[Derivation]:
     """Yield every derivation from db of length <= max_len, depth-first.
@@ -286,8 +285,7 @@ def enumerate_derivations(
     Each trigger is checked once, when it is found; a bad match raises
     NotTriggeredError before any derivation applying it is yielded.
     Redundant steps (head image already present) are legal derivation steps
-    and are enumerated unless ``skip_redundant`` is set.  ``max_derivations``
-    bounds the derivations yielded.
+    and are enumerated.  ``max_derivations`` bounds the derivations yielded.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -330,6 +328,4 @@ def enumerate_derivations(
             if sleep is not None and len(d) + 1 < max_len:  # a leaf child opens no frame
                 asleep = {s: n for s, n in sleep.items() if n.isdisjoint(step.new_atoms)}
                 sleep[ident] = step.new_atoms
-            if step.new_atoms or not skip_redundant:
-                node = (Derivation(d.initial, d.steps + (step,)), step.new_atoms, index, lists,
-                        asleep)
+            node = (Derivation(d.initial, d.steps + (step,)), step.new_atoms, index, lists, asleep)

@@ -15,7 +15,8 @@ it trips.  A universal class is a weak class over one-member groups, one per
 derivation of the lazy stream, so a refutation stops the enumeration.  One
 loop gives every verdict: a group with no good member refutes the class with
 its shortest member, and a weak class's witness is a group's first good
-derivation in (length, DFS) order.
+derivation in (length, DFS) order, searched to the full depth
+(DECISIONS.md section 10).
 
 Every class reads the ``dedup="traces"`` stream, one derivation per trace:
 length, final instance, greediness and reducibility are trace invariants,
@@ -87,30 +88,26 @@ def classify(
     kb: KnowledgeBase,
     cls: str,
     depth: int,
-    rederivation_bound: str = "shortest",
 ) -> ClassificationVerdict:
     """Bounded membership verdict for one class, from one derivation per
     trace (``dedup="traces"``).
 
     gbts: every derivation up to the depth is greedy.
     cdgs: every derivation's graph reduces to a cycle-free graph.
-    wgbts: every derivable instance has a greedy derivation (searched up to
-      the shortest recorded length for that instance, or the full depth when
-      ``rederivation_bound="depth"``).
-    wcdgs: every derivable instance has some derivation with a reducible graph.
+    wgbts: every derivable instance has a greedy derivation up to the depth.
+    wcdgs: every derivable instance has a derivation up to the depth whose
+      graph is reducible.
     """
     if cls not in CLASSES:
         raise ValueError(f"unknown class {cls!r}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if rederivation_bound not in ("shortest", "depth"):
-        raise ValueError(f"unknown rederivation bound {rederivation_bound!r}")
     weak = cls in ("wgbts", "wcdgs")
     check = ((lambda d: is_greedy(d, kb).greedy) if cls in ("gbts", "wgbts")
              else lambda d: reduce_graph(build_derivation_graph(d, kb), "full"))
     try:
         if weak:
-            groups = group_derivations(kb, depth, rederivation_bound == "shortest").values()
+            groups = group_derivations(kb, depth).values()
         else:  # one group per derivation, read lazily
             stream = enumerate_derivations(kb.database, kb.rules, depth, dedup="traces")
             groups = ((None, [d]) for d in stream)

@@ -86,17 +86,12 @@ def _tokenize(text: str) -> list[Token]:
 
 @dataclass
 class RuleDocument:
-    """Parsed rule file: facts, named rules, and named queries, in file order.
-
-    ``positions`` maps ("fact", index), ("rule", name), or ("query", name)
-    to the 1-based (line, column) where the statement starts.
-    """
+    """Parsed rule file: facts, named rules, and named queries, in file order."""
 
     facts: list[Atom] = field(default_factory=list)
     rules: list[Rule] = field(default_factory=list)
     queries: dict[str, BooleanQuery] = field(default_factory=dict)
     arities: dict[str, int] = field(default_factory=dict)
-    positions: dict[tuple, tuple[int, int]] = field(default_factory=dict)
 
     def knowledge_base(self) -> KnowledgeBase:
         return KnowledgeBase(Instance(self.facts), tuple(self.rules))
@@ -170,7 +165,6 @@ class _Parser:
         self.take("DOT")
         if any(isinstance(t, Variable) for t in a.args):
             raise ParseError(f"fact {a} must be ground", tok.line, tok.column)
-        self.doc.positions[("fact", len(self.doc.facts))] = (tok.line, tok.column)
         self.doc.facts.append(a)
 
     def rule(self) -> None:
@@ -186,7 +180,6 @@ class _Parser:
             raise EmptyHeadError(f"rule {name.text} has no head atoms", dot.line, dot.column)
         if any(r.rid == name.text for r in self.doc.rules):
             raise ParseError(f"duplicate rule name {name.text!r}", name.line, name.column)
-        self.doc.positions[("rule", name.text)] = (name.line, name.column)
         self.doc.rules.append(Rule(name.text, frozenset(body), frozenset(head)))
 
     def query(self) -> None:
@@ -199,7 +192,6 @@ class _Parser:
             raise ParseError(f"query {name.text} is empty", name.line, name.column)
         if name.text in self.doc.queries:
             raise ParseError(f"duplicate query name {name.text!r}", name.line, name.column)
-        self.doc.positions[("query", name.text)] = (name.line, name.column)
         self.doc.queries[name.text] = BooleanQuery(frozenset(atoms))
 
 

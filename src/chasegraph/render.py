@@ -85,7 +85,7 @@ def graph_json(g: DerivationGraph) -> dict[str, Any]:
             {
                 "index": i,
                 "atoms": sorted(str(a) for a in g.at[i]),
-                "terms": sorted(str(t) for t in sorted(g.node_terms(i), key=term_key)),
+                "terms": sorted(str(t) for t in g.node_terms(i)),
             }
             for i in g.nodes
         ],
@@ -124,7 +124,7 @@ def trace_json(trace: ReductionTrace, strategy: str) -> dict[str, Any]:
 def td_json(td: TreeDecomposition) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
-        "bags": [sorted(str(t) for t in sorted(bag, key=term_key)) for bag in td.bags],
+        "bags": [sorted(str(t) for t in bag) for bag in td.bags],
         "edges": sorted([a, b] for a, b in td.edges),
         "root": td.root,
         "width": td.width,

@@ -18,6 +18,10 @@ wcdgs: instances are bucketed by a cheap shape key and grouped by pairwise
 ``isomorphic_oracle``, and each group's good derivation is searched by
 iterative deepening, one fresh enumeration per length.
 
+The layer oracle is the earlier ``RuleDependencyGraph.layers``: it finds
+each dependence cycle by a forward and a backward reachability search and
+takes a component's layer by memoised recursion over its parents.
+
 The greediness oracle is the earlier ``is_greedy``: it rebuilds its base
 from the constants of the initial instance and of every rule, and the
 initial instance's nulls, on every call.
@@ -44,6 +48,7 @@ import itertools
 
 from chasegraph.analysis import (
     GreedinessReport,
+    RuleDependencyGraph,
     _rename_apart,
     _witnesses_dependence,
     is_greedy,
@@ -57,7 +62,12 @@ from chasegraph.classify import (
     GroupWitness,
     Refutation,
 )
-from chasegraph.derivgraph import DecompositionReport, DerivationGraph, build_derivation_graph
+from chasegraph.derivgraph import (
+    DecompositionReport,
+    DerivationGraph,
+    build_derivation_graph,
+    reachable,
+)
 from chasegraph import homs
 from chasegraph.errors import ResourceLimitError
 from chasegraph.model import (
@@ -157,6 +167,39 @@ def brute_force_depends_on(r2: Rule, r1: Rule, max_fresh: int = 3) -> bool:
     return False
 
 
+def layers_oracle(grd: RuleDependencyGraph) -> dict[str, int]:
+    """Topological depth over the condensation of the dependence graph."""
+    succ = {v: set() for v in grd.vertices}
+    pred = {v: set() for v in grd.vertices}
+    for a, b in grd.edges:
+        succ[a].add(b)
+        pred[b].add(a)
+    sccs: list[set[str]] = []
+    assigned: set[str] = set()
+    for v in grd.vertices:
+        if v in assigned:
+            continue
+        comp = (reachable(succ, v) & reachable(pred, v)) | {v}
+        comp -= assigned
+        sccs.append(comp)
+        assigned |= comp
+    comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
+    layer_of_comp: dict[int, int] = {}
+
+    def comp_layer(ci: int) -> int:
+        if ci in layer_of_comp:
+            return layer_of_comp[ci]
+        parents = {
+            comp_of[a]
+            for a, b in grd.edges
+            if comp_of[b] == ci and comp_of[a] != ci
+        }
+        layer_of_comp[ci] = 0 if not parents else 1 + max(comp_layer(p) for p in parents)
+        return layer_of_comp[ci]
+
+    return {v: comp_layer(comp_of[v]) for v in grd.vertices}
+
+
 def is_greedy_oracle(d: Derivation, kb: KnowledgeBase) -> GreedinessReport:
     base: set[Term] = set(constants_of(d.initial.atoms))
     for r in kb.rules:
@@ -182,7 +225,7 @@ def is_greedy_oracle(d: Derivation, kb: KnowledgeBase) -> GreedinessReport:
 
 
 def enumerate_oracle(db: Instance, rules, max_len: int, dedup: str = "none",
-                     skip_redundant: bool = False, max_derivations: int = 10**6):
+                     max_derivations: int = 10**6):
     """Every derivation from db of length <= max_len, depth-first, recomputing
     each node's triggers over the whole instance."""
     seen: set[tuple] = set()
@@ -199,8 +242,6 @@ def enumerate_oracle(db: Instance, rules, max_len: int, dedup: str = "none",
         for r in rules:
             for hom in triggers(d.final, r):
                 child = d.extend(r, hom)
-                if skip_redundant and not child.new_atoms(len(child)):
-                    continue
                 if dedup == "mod-nulls":
                     key = derivation_key(child)
                     if key in seen:
@@ -391,9 +432,9 @@ def weak_classify_oracle(
     cls: str,
     depth: int,
     dedup: str = "mod-nulls",
-    rederivation_bound: str = "shortest",
 ) -> ClassificationVerdict:
-    """The wgbts/wcdgs verdict, computed the slow way."""
+    """The wgbts/wcdgs verdict, computed the slow way: each instance's good
+    derivation is searched up to the full depth."""
     if cls == "wgbts":
         def check(d):
             return is_greedy(d, kb).greedy
@@ -405,8 +446,7 @@ def weak_classify_oracle(
     try:
         witnesses = []
         for target, shortest_len, shortest in _group_instances(kb, depth, dedup):
-            bound = shortest_len if rederivation_bound == "shortest" else depth
-            found = _find_rederivation(kb, target, bound, dedup, check)
+            found = _find_rederivation(kb, target, depth, dedup, check)
             if found is None:
                 cert = Refutation(shortest, reason, target=target)
                 return ClassificationVerdict(cls, depth, REFUTED, cert)

@@ -4,6 +4,7 @@ import pytest
 
 from chasegraph import analysis, homs
 from chasegraph.analysis import (
+    RuleDependencyGraph,
     depends_on,
     find_greedy_rederivation,
     group_derivations,
@@ -28,7 +29,12 @@ from chasegraph.model import (
 from chasegraph.randkb import random_kb
 
 from conftest import A, B, U, V, W, X, Y, Z, rename_derivation_nulls
-from oracles import brute_force_depends_on, canonical_forms_oracle, is_greedy_oracle
+from oracles import (
+    brute_force_depends_on,
+    canonical_forms_oracle,
+    is_greedy_oracle,
+    layers_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +111,29 @@ def test_normalize_with_cyclic_dependencies():
     normalized.validate()
     assert normalized.rule_ids() == ("grow", "mark")
     assert normalized.final == d.final
+
+
+def test_layers_match_oracle_on_random_graphs():
+    # dense enough for cycles, with self-loops, and vertex orders both ways
+    rng = random.Random(80)
+    for _ in range(300):
+        vertices = tuple(f"r{i}" for i in rng.sample(range(9), rng.randint(1, 9)))
+        edges = frozenset((a, b) for a in vertices for b in vertices if rng.random() < 0.2)
+        grd = RuleDependencyGraph(vertices, edges)
+        assert grd.layers() == layers_oracle(grd)
+
+
+def test_layers_of_a_long_chain_need_no_recursion():
+    # listed last-first, the deepest rule's layer is asked for first
+    n = 400
+    rules = tuple(Rule(f"r{i}", frozenset({Atom(f"p{i}", (X,))}),
+                       frozenset({Atom(f"p{i + 1}", (X,))})) for i in reversed(range(n)))
+    grd = rule_dependency_graph(rules)
+    assert grd.layers() == {f"r{i}": i for i in range(n)}
+    d = Derivation(Instance({Atom("p0", (A,))}))
+    for r in reversed(rules[-3:]):
+        d = d.extend(r, Substitution({X: A}))
+    assert normalize_by_grd(d, grd).rule_ids() == ("r0", "r1", "r2")
 
 
 def test_depends_on_matches_oracle_on_random_rules():

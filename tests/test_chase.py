@@ -199,14 +199,6 @@ def test_enumerate_budget(join_kb):
         list(enumerate_derivations(join_kb.database, join_kb.rules, 4, max_derivations=10))
 
 
-def test_skip_redundant_drops_no_new_atom_steps():
-    r = Rule("copy", frozenset({Atom("e", (X, Y))}), frozenset({Atom("e", (X, Y))}))
-    db = Instance({Atom("e", (A, B))})
-    with_redundant = list(enumerate_derivations(db, (r,), 1))
-    without = list(enumerate_derivations(db, (r,), 1, skip_redundant=True))
-    assert len(with_redundant) == 2 and len(without) == 1
-
-
 def test_soundness_derived_instances_embed_in_chase(chain_kb):
     level3 = chase_k(chain_kb.database, chain_kb.rules, 3)
     for d in enumerate_derivations(chain_kb.database, chain_kb.rules, 3):
@@ -310,7 +302,7 @@ def test_budget_trips_where_the_oracle_does_on_random_kbs():
                 == _stream(enumerate_oracle, kb.database, kb.rules, 3, max_derivations=25))
 
 
-def test_skip_redundant_matches_oracle():
+def test_redundant_steps_match_oracle():
     # copy is redundant everywhere; grow makes fresh nulls that copy then echoes
     copy = Rule("copy", frozenset({Atom("e", (X, Y))}), frozenset({Atom("e", (X, Y))}))
     grow = Rule("grow", frozenset({Atom("e", (X, Y))}), frozenset({Atom("e", (Y, Z))}))
@@ -318,13 +310,8 @@ def test_skip_redundant_matches_oracle():
                 frozenset({Atom("e", (Z, X))}))
     db = Instance({Atom("e", (A, B))})
     rules = (copy, grow, swap)
-    for skip in (False, True):
-        new = _stream(enumerate_derivations, db, rules, 4, skip_redundant=skip)
-        assert new == _stream(enumerate_oracle, db, rules, 4, skip_redundant=skip)
-        _assert_one_per_trace(db, rules, 4, skip_redundant=skip)
-    kept = _stream(enumerate_derivations, db, rules, 4, skip_redundant=True)[0]
-    assert all("copy" not in [rid for rid, _ in key] for key in kept)
-    assert len(kept) < len(_stream(enumerate_derivations, db, rules, 4)[0])
+    assert _stream(enumerate_derivations, db, rules, 4) == _stream(enumerate_oracle, db, rules, 4)
+    _assert_one_per_trace(db, rules, 4)
 
 
 def test_enumerated_chain_derivations_validate_to_depth_5():
@@ -416,17 +403,15 @@ def test_traces_counts_on_samples(name, depth, count):
     assert sum(1 for _ in stream) == count
 
 
-@pytest.mark.parametrize("skip", [False, True])
 @pytest.mark.parametrize("name,depth", [c for c in SAMPLE_CASES if c[1] >= 1])
-def test_traces_stream_has_one_derivation_per_trace_on_samples(name, depth, skip):
+def test_traces_stream_has_one_derivation_per_trace_on_samples(name, depth):
     kb = _sample_kb(name)
-    _assert_one_per_trace(kb.database, kb.rules, depth, skip_redundant=skip)
+    _assert_one_per_trace(kb.database, kb.rules, depth)
 
 
-@pytest.mark.parametrize("skip", [False, True])
-def test_traces_stream_has_one_derivation_per_trace_on_random_kbs(skip):
+def test_traces_stream_has_one_derivation_per_trace_on_random_kbs():
     for kb, keys in _random_kbs():
-        assert _assert_one_per_trace(kb.database, kb.rules, 3, skip_redundant=skip) <= len(keys)
+        assert _assert_one_per_trace(kb.database, kb.rules, 3) <= len(keys)
 
 
 def test_traces_stream_keeps_both_orders_of_two_heads_sharing_an_atom():

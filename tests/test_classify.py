@@ -195,16 +195,12 @@ def _assert_matches_oracle(new, old):
                     type(x) for x in w_old.trace.steps]
 
 
-@pytest.mark.parametrize("bound", ["shortest", "depth"])
 @pytest.mark.parametrize("cls", ["wgbts", "wcdgs"])
 @pytest.mark.parametrize("name,depth", [("join", d) for d in range(1, 5)]
                          + [("chain", d) for d in range(1, 6)])
-def test_weak_classes_match_oracle_on_samples(name, depth, cls, bound):
+def test_weak_classes_match_oracle_on_samples(name, depth, cls):
     kb = _sample_kb(name)
-    _assert_matches_oracle(
-        classify(kb, cls, depth, rederivation_bound=bound),
-        weak_classify_oracle(kb, cls, depth, rederivation_bound=bound),
-    )
+    _assert_matches_oracle(classify(kb, cls, depth), weak_classify_oracle(kb, cls, depth))
 
 
 def test_weak_classes_match_oracle_on_random_kbs():
@@ -226,13 +222,47 @@ def test_weak_classes_match_oracle_on_random_kbs():
             if greedy == 24:
                 continue
             greedy += 1
-        for bound in ("shortest", "depth"):
-            for cls in ("wgbts", "wcdgs"):
-                _assert_matches_oracle(
-                    classify(kb, cls, 3, rederivation_bound=bound),
-                    weak_classify_oracle(kb, cls, 3, rederivation_bound=bound),
-                )
+        for cls in ("wgbts", "wcdgs"):
+            _assert_matches_oracle(classify(kb, cls, 3), weak_classify_oracle(kb, cls, 3))
         checked += 1
+
+
+# Its shortest derivation (a1, b1, j) of one instance joins nulls of two
+# steps, but the longer c, e, f, j derives the same instance greedily.
+LONGER_WITNESS = """p(a).
+e: u(X,Y) -> x(Y).
+a1: p(X) -> u(X,Y), x(Y).
+b1: p(X) -> v(X,Z), y(Z).
+c: p(X) -> u(X,Y), v(X,Z).
+f: v(X,Z) -> y(Z).
+j: u(X,Y), v(X,Z) -> w(Y,Z).
+"""
+
+
+def test_weak_classes_search_past_the_shortest_length():
+    # DECISIONS.md section 10: a greedy derivation of any length up to the
+    # depth keeps an instance in the class
+    kb = parse_document(LONGER_WITNESS).knowledge_base()
+    d = next(d for d in enumerate_derivations(kb.database, kb.rules, 3)
+             if d.rule_ids() == ("a1", "b1", "j"))
+    assert not is_greedy(d, kb).greedy
+    assert analysis.find_greedy_rederivation(kb, d.final, 3) is None
+    assert analysis.find_greedy_rederivation(kb, d.final, 4).rule_ids() == ("c", "e", "f", "j")
+    for cls in ("wgbts", "wcdgs"):
+        verdict = classify(kb, cls, 4)
+        assert verdict.result == REFUTED
+        assert verdict.certificate.derivation.rule_ids() == ("a1", "c", "j")
+
+
+@pytest.mark.parametrize("name,depth", [("longer-witness", 4), ("join", 3), ("join", 4),
+                                        ("chain", 3), ("chain", 4), ("chain", 5)])
+def test_weak_refutations_have_no_greedy_derivation_within_the_depth(name, depth):
+    kb = (parse_document(LONGER_WITNESS).knowledge_base() if name == "longer-witness"
+          else _sample_kb(name))
+    for cls in ("wgbts", "wcdgs"):
+        verdict = classify(kb, cls, depth)
+        if verdict.result == REFUTED:
+            assert analysis.find_greedy_rederivation(kb, verdict.certificate.target, depth) is None
 
 
 def test_canonical_form_budget_gives_unknown(join_kb, monkeypatch):

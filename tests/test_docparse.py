@@ -79,13 +79,6 @@ def test_comments_ignored():
     assert doc.facts == [Atom("p", (A,))]
 
 
-def test_positions_recorded():
-    doc = parse_document(JOIN_DOC)
-    assert doc.positions[("fact", 0)] == (2, 1)
-    assert doc.positions[("rule", "r1")] == (3, 1)
-    assert doc.positions[("query", "q1")][0] == 7
-
-
 def test_duplicate_rule_name_rejected():
     with pytest.raises(ParseError):
         parse_document("r: p(X) -> q(X). r: q(X) -> p(X).")
