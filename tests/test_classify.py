@@ -195,7 +195,8 @@ def _assert_matches_oracle(new, old):
                     type(x) for x in w_old.trace.steps]
 
 
-@pytest.mark.parametrize("cls", ["wgbts", "wcdgs"])
+# The "-depth" in the case ids says that witnesses are searched to the depth.
+@pytest.mark.parametrize("cls", ["wgbts", "wcdgs"], ids=lambda cls: f"{cls}-depth")
 @pytest.mark.parametrize("name,depth", [("join", d) for d in range(1, 5)]
                          + [("chain", d) for d in range(1, 6)])
 def test_weak_classes_match_oracle_on_samples(name, depth, cls):
