@@ -18,7 +18,7 @@ from .derivgraph import build_derivation_graph
 from .docparse import RuleDocument, parse_document, print_document
 from .errors import EngineError, ParseError, ResourceLimitError
 from .model import KnowledgeBase, term_key
-from .reduction import check_prefix_invariants, reduce_graph
+from .reduction import ReductionTrace, check_prefix_invariants, reduce_graph
 from .selfcheck import check_corpus
 from .treedecomp import extract_tree_decomposition, validate_tree_decomposition
 
@@ -154,18 +154,28 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def cmd_reduce(args) -> int:
+def _reduce_selected(args, irreducible: str) -> tuple[Derivation, ReductionTrace] | None:
+    """The selected derivation and the complete ``--strategy`` reduction of
+    its graph.  A tripped state budget prints ``unknown`` and an irreducible
+    graph prints ``irreducible: <irreducible>``; both give None (exit 1)."""
     kb = _load(args.file).knowledge_base()
     d = _select_derivation(kb, args.derivation, args.max_len, args.dedup)
-    g = build_derivation_graph(d, kb)
     try:
-        trace = reduce_graph(g, args.strategy)
+        trace = reduce_graph(build_derivation_graph(d, kb), args.strategy)
     except ResourceLimitError as exc:
         print(f"unknown: {exc}", file=sys.stderr)
-        return 1
+        return None
     if trace is None:
-        print("irreducible: no complete reduction sequence exists")
+        print(f"irreducible: {irreducible}")
+        return None
+    return d, trace
+
+
+def cmd_reduce(args) -> int:
+    reduced = _reduce_selected(args, "no complete reduction sequence exists")
+    if reduced is None:
         return 1
+    _, trace = reduced
     invariants = check_prefix_invariants(trace)
     print(f"reduced in {len(trace.steps)} steps: "
           + (" ".join(s.describe() for s in trace.steps) or "<already cycle-free>"))
@@ -184,13 +194,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_treedecomp(args) -> int:
-    kb = _load(args.file).knowledge_base()
-    d = _select_derivation(kb, args.derivation, args.max_len, args.dedup)
-    g = build_derivation_graph(d, kb)
-    trace = reduce_graph(g, args.strategy)
-    if trace is None:
-        print("irreducible: cannot extract a tree decomposition")
+    reduced = _reduce_selected(args, "cannot extract a tree decomposition")
+    if reduced is None:
         return 1
+    d, trace = reduced
     td = extract_tree_decomposition(trace.final)
     valid = validate_tree_decomposition(td, d.final)
     if args.dot:

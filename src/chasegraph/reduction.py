@@ -8,11 +8,11 @@ All three touch only arcs and labels, never nodes or decorations.
 Each operation is defined once: ``_moves`` yields exactly the steps that
 apply to a graph, and each step class rewrites the arcs itself.
 ``apply_step`` accepts a step iff ``_moves`` offers it (DECISIONS.md
-section 6), and both search strategies run one depth-first search that
-differs only in the moves function each builds per call.  Every move reads
-and rewrites the arcs into one node only, so the full search decides
-reducibility one convergence point at a time and then walks along the
-local traces it found, without backtracking (DECISIONS.md section 7).
+section 6), and both search strategies follow one path that differs only
+in the step each picks at a graph.  Every move reads and rewrites the arcs
+into one node only, so the full search decides reducibility one
+convergence point at a time and then merges the local traces it found,
+without backtracking (DECISIONS.md section 7).
 
 A graph counts as cycle-free when no node has two incoming arcs: every
 node keeps at most one parent, which makes the underlying undirected graph
@@ -88,7 +88,6 @@ class CrStep:
 
 
 ReductionStep = Union[ArStep, TrStep, CrStep]
-_Moves = Callable[[DerivationGraph], Iterator[ReductionStep]]
 
 
 def _cr_moves(g: DerivationGraph, k: int) -> Iterator[CrStep]:
@@ -129,15 +128,6 @@ def _moves(g: DerivationGraph) -> Iterator[ReductionStep]:
     """All applicable reduction steps, in a fixed deterministic order: the
     one definition of when arc, term and cycle removal apply."""
     return chain(_ar_moves(g), *(_point_moves(g, k) for k in g.convergence_points()))
-
-
-def _cr_only_moves(g: DerivationGraph) -> Iterator[CrStep]:
-    """At the earliest convergence point, the cycle removal with the
-    smallest witness (the first parent pair among ties), or nothing."""
-    k = g.convergence_points()[0]  # the search never asks a cycle-free graph
-    step = min(_cr_moves(g, k), key=attrgetter("l"), default=None)
-    if step is not None:
-        yield step
 
 
 def _successor(g: DerivationGraph, step: ReductionStep) -> DerivationGraph:
@@ -215,7 +205,7 @@ class ReductionTrace:
 
 
 class _StateBudget:
-    """The states one ``reduce_graph`` call may visit, across its walk and
+    """The states one ``reduce_graph`` call may visit, across its path and
     every local decision it makes."""
 
     __slots__ = ("limit", "used")
@@ -231,27 +221,18 @@ class _StateBudget:
                                      budget="reduction-states", limit=self.limit)
 
 
-def _reduce(
-    g: DerivationGraph,
-    moves: _Moves,
-    budget: _StateBudget,
-    *,
-    memo: bool,
-) -> ReductionTrace | None:
-    """Depth-first search over the reduction sequences ``moves`` offers,
-    memoized on graph state when ``memo`` is set.
+def _reduce(g: DerivationGraph, budget: _StateBudget) -> ReductionTrace | None:
+    """Exhaustive depth-first search over the reduction sequences
+    ``_moves`` offers, memoized on graph state.
 
     Every operation strictly shrinks (arc count, total label size)
     lexicographically, so the state space is a finite DAG and plain DFS with
-    a visited set is complete.  A moves function that offers at most one
-    move per state makes the search a single path, which never meets a
-    state twice and needs no visited set (DECISIONS.md section 7).  Each
-    state visited spends one unit of ``budget``; running out raises instead
-    of reporting irreducibility.  The search keeps an explicit stack, one
-    move iterator per graph on the current path, so its depth is not
-    bounded by the interpreter's recursion limit.  Moves come from
-    ``moves`` itself, so they are applied without re-checking their side
-    conditions.
+    a visited set is complete.  Each state visited spends one unit of
+    ``budget``; running out raises instead of reporting irreducibility.  The
+    search keeps an explicit stack, one move iterator per graph on the
+    current path, so its depth is not bounded by the interpreter's recursion
+    limit.  Moves come from ``_moves`` itself, so they are applied without
+    re-checking their side conditions.
     """
     seen: set[frozenset] = set()
     steps: list[ReductionStep] = []
@@ -261,14 +242,13 @@ def _reduce(
         cur = graphs[-1]
         if is_cycle_free(cur):
             return ReductionTrace(g, tuple(steps), tuple(graphs))
-        if memo and (key := cur.state_key()) in seen:
+        if (key := cur.state_key()) in seen:
             steps.pop()  # only a step can reach a seen state; the root is new
             graphs.pop()
         else:
-            if memo:
-                seen.add(key)
+            seen.add(key)
             budget.spend()
-            pending.append(moves(cur))
+            pending.append(_moves(cur))
         while pending:
             step = next(pending[-1], None)
             if step is not None:
@@ -283,36 +263,61 @@ def _reduce(
         graphs.append(_successor(graphs[-1], step))
 
 
-def _walk_moves(g: DerivationGraph, budget: _StateBudget) -> _Moves:
-    """The moves of a walk along each convergence point's local trace.
+def _path(g: DerivationGraph, budget: _StateBudget,
+          pick: Callable[[DerivationGraph], ReductionStep | None]) -> ReductionTrace | None:
+    """Follow ``pick`` from ``g`` while the graph has a convergence point,
+    spending one unit of ``budget`` at each such graph; None as soon as
+    ``pick`` gives no step.  Every move strictly shrinks (arc count, total
+    label size), so the path never meets a graph twice (DECISIONS.md
+    section 6).  Picks are applied without re-checking their side
+    conditions."""
+    steps: list[ReductionStep] = []
+    graphs = [g]
+    while not is_cycle_free(graphs[-1]):
+        budget.spend()
+        step = pick(graphs[-1])
+        if step is None:
+            return None
+        steps.append(step)
+        graphs.append(_successor(graphs[-1], step))
+    return ReductionTrace(g, tuple(steps), tuple(graphs))
 
-    Each point of ``g`` is decided alone, in index order, by the plain
-    search over the arcs into it, spending ``budget``.  If one is
-    irreducible, no graph gets a move; otherwise a graph gets the first
-    move of ``_moves`` that is its point's next local step or an ar at a
-    node with one parent, which is its first move whose successor is
-    reducible (DECISIONS.md section 7).
-    """
-    local: dict[frozenset, ReductionStep] = {}  # arcs into a point -> its next step
+
+def _cr_pick(h: DerivationGraph) -> CrStep | None:
+    """The cr-only step: at the earliest convergence point, the cycle
+    removal with the smallest witness (the first parent pair among ties)."""
+    # _path never asks a cycle-free graph, so there is a convergence point
+    return min(_cr_moves(h, h.convergence_points()[0]), key=attrgetter("l"), default=None)
+
+
+def _full(g: DerivationGraph, budget: _StateBudget) -> ReductionTrace | None:
+    """Decide each convergence point of ``g`` alone, in index order, by the
+    exhaustive search over the arcs into it; then follow, at each graph,
+    the first move of ``_moves`` that is a point's next local step or an
+    ar at a node with one parent.  That path is the exhaustive search's
+    first trace (DECISIONS.md section 7).  After an irreducible point,
+    only the root is visited."""
+    local: dict[int, list[ReductionStep]] = {}  # point -> its local steps left, next last
     for k in g.convergence_points():
         into = {(i, k): g.arcs[(i, k)] for i in g.parents(k)}
-        trace = _reduce(DerivationGraph._of(g.facts, into), _moves, budget, memo=True)
+        trace = _reduce(DerivationGraph._of(g.facts, into), budget)
         if trace is None:
-            return lambda h: iter(())
-        local.update(zip((h.state_key() for h in trace.graphs), trace.steps))
+            return _path(g, budget, lambda h: None)
+        local[k] = list(reversed(trace.steps))
 
-    def moves(h: DerivationGraph) -> Iterator[ReductionStep]:
-        for step in _moves(h):
-            k = step.node
-            into = frozenset([((i, k), h.arcs[(i, k)]) for i in h.parents(k)])
-            if len(into) == 1 or local[into] == step:
-                yield step
-                return
+    def pick(h: DerivationGraph) -> ReductionStep:
+        ars = [ArStep(i, j) for (i, j), lbl in h.arcs.items() if not lbl and h.in_degree(j) == 1]
+        # the first candidate in _moves order: ar moves by arc, then one tr or cr per point
+        step = min(ars + [steps[-1] for steps in local.values() if steps],
+                   key=lambda s: (0, s.i, s.j) if type(s) is ArStep else (1, s.node))
+        if h.in_degree(step.node) > 1:  # a point's next local step
+            local[step.node].pop()
+        return step
 
-    return moves
+    return _path(g, budget, pick)
 
 
-_STRATEGIES = {"cr-only": lambda g, budget: _cr_only_moves, "full": _walk_moves}
+_STRATEGIES = {"cr-only": lambda g, budget: _path(g, budget, _cr_pick), "full": _full}
 
 
 def reduce_graph(
@@ -325,18 +330,17 @@ def reduce_graph(
     ``cr-only`` greedily removes the earliest convergence point with the
     smallest admissible witness node.  ``full`` explores all three
     operations and is the ground truth for reducibility: it first decides
-    each convergence point on its own, then walks along the local traces
-    it found, so it returns the first trace of the exhaustive depth-first
+    each convergence point on its own, then merges the local traces it
+    found, so it returns the first trace of the exhaustive depth-first
     search without backtracking, and stops at the root of an irreducible
-    graph.  ``max_states`` bounds the distinct states visited by the
-    search and, for ``full``, by the per-point decisions together; both
+    graph.  ``max_states`` bounds the distinct states visited by the path
+    and, for ``full``, by the per-point decisions together; both
     strategies raise ResourceLimitError rather than misreporting when
     capped.  A cr-only run visits at most one state per arc, plus one.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    budget = _StateBudget(max_states)
-    return _reduce(g, _STRATEGIES[strategy](g, budget), budget, memo=False)
+    return _STRATEGIES[strategy](g, _StateBudget(max_states))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,17 @@
+import argparse
 import json
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from chasegraph import selfcheck
-from chasegraph.cli import main
+from chasegraph import cli, selfcheck
+from chasegraph.cli import build_parser, main
+from chasegraph.errors import ResourceLimitError
 from conftest import subprocess_env
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 JOIN_DOC = """\
 p(a). r(b).
@@ -166,6 +172,42 @@ def test_reduce_irreducible_exit_code(join_file, capsys):
     assert "irreducible" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["reduce", "treedecomp"])
+def test_a_tripped_reduction_budget_is_unknown(chain_file, command, monkeypatch, capsys):
+    def tripped(g, strategy):
+        raise ResourceLimitError("reduction search exceeded 5 states",
+                                 budget="reduction-states", limit=5)
+
+    monkeypatch.setattr(cli, "reduce_graph", tripped)
+    assert main([command, chain_file, "--derivation", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "unknown: reduction search exceeded 5 states\n")
+
+
+def test_reduce_reports_invariant_violations(chain_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "check_prefix_invariants",
+                        lambda trace: SimpleNamespace(ok=False, failures=("prefix 1: broken",)))
+    golden = _chain_golden_id(chain_file)
+    assert main(["reduce", chain_file, "--derivation", str(golden)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("reduced in 2 steps: ")
+    assert err == "invariant violation: prefix 1: broken\n"
+
+
+def test_treedecomp_irreducible_exit_code(join_file, capsys):
+    # the two-producer join run r1, r2, r4 has no complete reduction
+    from chasegraph.chase import enumerate_derivations
+    from chasegraph.docparse import parse_document
+
+    kb = parse_document(Path(join_file).read_text()).knowledge_base()
+    target = next(i for i, d in enumerate(enumerate_derivations(kb.database, kb.rules, 3))
+                  if d.rule_ids() == ("r1", "r2", "r4"))
+    for strategy in ("cr-only", "full"):
+        assert main(["treedecomp", join_file, "--derivation", str(target),
+                     "--max-len", "3", "--strategy", strategy]) == 1
+        assert capsys.readouterr().out == "irreducible: cannot extract a tree decomposition\n"
+
+
 def test_dot_steps_snapshots(chain_file, tmp_path, capsys):
     golden = _chain_golden_id(chain_file)
     outdir = tmp_path / "steps"
@@ -208,11 +250,18 @@ def test_selfcheck_small_run(capsys):
             "0 non-greedy, 68 complete traces, 0 violations") in capsys.readouterr().out
 
 
-def test_selfcheck_reports_prefix_invariant_failures(monkeypatch, capsys):
-    monkeypatch.setattr(selfcheck, "check_prefix_invariants",
-                        lambda trace: SimpleNamespace(ok=False))
+@pytest.mark.parametrize("category, name, failing", [
+    ("prefix", "check_prefix_invariants", lambda trace: SimpleNamespace(ok=False)),
+    ("decomposition", "check_decomposition_properties",
+     lambda g, final, kb: SimpleNamespace(ok=False)),
+    ("path", "check_generative_paths", lambda g: ["a generative path fails"]),
+    ("td", "validate_tree_decomposition", lambda td, final: False),
+    ("equivalence", "is_greedy", lambda d, kb: SimpleNamespace(greedy=False)),
+], ids=["prefix", "decomposition", "path", "td", "equivalence"])
+def test_selfcheck_reports_each_failure_category(category, name, failing, monkeypatch, capsys):
+    monkeypatch.setattr(selfcheck, name, failing)
     assert main(["selfcheck", "--kbs", "2", "--max-len", "2"]) == 1
-    assert "prefix: kb 0 rules=[" in capsys.readouterr().err
+    assert f"{category}: kb 0 rules=[" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag, lowest", [
@@ -237,6 +286,48 @@ def test_numeric_flags_below_their_minimum_are_usage_errors(
     err = capsys.readouterr().err
     assert f"argument {flag}: must be at least {lowest}, got {lowest - 1}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["chase", "FILE", "--depth", "1"], {"schema", "depth", "atoms"}),
+    (["derivations", "FILE", "--max-len", "2"], {"schema", "derivations"}),
+    (["grd", "FILE"], {"schema", "vertices", "edges", "sources"}),
+    (["graph", "FILE", "--derivation", "3"], {"schema", "nodes", "arcs", "constants"}),
+], ids=["chase", "derivations", "grd", "graph"])
+def test_json_outputs_carry_the_schema(join_file, argv, keys, capsys):
+    argv = [join_file if a == "FILE" else a for a in argv]
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == 1
+    assert set(payload) == keys
+
+
+@pytest.mark.parametrize("command", ["greedy-check", "graph", "reduce", "treedecomp"])
+def test_a_derivation_id_past_the_enumeration_is_an_error(join_file, command, capsys):
+    # --max-len 1 enumerates the empty run and three one-step runs, ids 0-3
+    assert main([command, join_file, "--derivation", "3", "--max-len", "1"]) in (0, 1)
+    capsys.readouterr()
+    assert main([command, join_file, "--derivation", "4", "--max-len", "1"]) == 1
+    assert capsys.readouterr().err == \
+        "error: no derivation with id 4 (enumeration bound --max-len 1)\n"
+
+
+def test_readme_synopsis_lists_every_option():
+    # one synopsis line per subcommand, continuation lines joined to it
+    block = README.read_text().split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    synopsis: dict[str, str] = {}
+    for line in block.splitlines():
+        if line.startswith("chasegraph "):
+            command = line.split()[1]
+            synopsis[command] = line
+        else:
+            synopsis[command] += " " + line.strip()
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(synopsis) == list(commands)
+    for name, parser in commands.items():
+        options = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[\w-]+", synopsis[name])) == options, name
 
 
 def test_grd_dot_output(join_file, tmp_path):

@@ -445,24 +445,10 @@ def _same_trace(new, old):
 
 
 def _full_search_expanding(g):
-    """(full trace, the graphs the full search gave moves to, in order)."""
-    expanded = []
-    walk_moves = reduction._STRATEGIES["full"]
-
-    def recording(root, budget):
-        moves = walk_moves(root, budget)
-
-        def recorded(h):
-            steps = list(moves(h))
-            if steps:
-                expanded.append(h)
-            return iter(steps)
-
-        return recorded
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(reduction._STRATEGIES, "full", recording)
-        return reduce_graph(g, "full"), expanded
+    """(full trace, the graphs the full search gave moves to, in order): the
+    path never backtracks, so these are the graphs of its trace but the last."""
+    trace = reduce_graph(g, "full")
+    return trace, list(trace.graphs[:-1]) if trace else []
 
 
 def _reducibility_matches_the_oracle(graphs) -> set[bool]:
