@@ -160,18 +160,11 @@ def _witnesses_dependence(instance: Instance, r1: Rule, r2: Rule) -> bool:
 
 
 def rule_dependency_graph(rules: tuple[Rule, ...]) -> RuleDependencyGraph:
-    """The edge (r1, r2) when r2 depends on r1.  ``depends_on`` is false
-    unless r1's head and r2's body share a predicate, so it is asked only
-    about the rules that an index by body predicate gives for r1's head."""
-    readers: dict[str, list[int]] = {}  # body predicate -> positions of the rules reading it
-    for n, r in enumerate(rules):
-        for pred in {a.pred for a in r.body}:
-            readers.setdefault(pred, []).append(n)
     edges = set()
     for r1 in rules:
-        for n in sorted({n for a in r1.head for n in readers.get(a.pred, ())}):
-            if depends_on(rules[n], r1):
-                edges.add((r1.rid, rules[n].rid))
+        for r2 in rules:
+            if depends_on(r2, r1):
+                edges.add((r1.rid, r2.rid))
     return RuleDependencyGraph(tuple(r.rid for r in rules), frozenset(edges))
 
 

@@ -22,9 +22,6 @@ The layer oracle is the earlier ``RuleDependencyGraph.layers``: it finds
 each dependence cycle by a forward and a backward reachability search and
 takes a component's layer by memoised recursion over its parents.
 
-The dependency-graph oracle is the earlier ``rule_dependency_graph``: it
-calls ``depends_on`` on every ordered pair of rules.
-
 The greediness oracle is the earlier ``is_greedy``: it rebuilds its base
 from the constants of the initial instance and of every rule, and the
 initial instance's nulls, on every call.
@@ -54,7 +51,6 @@ from chasegraph.analysis import (
     RuleDependencyGraph,
     _rename_apart,
     _witnesses_dependence,
-    depends_on,
     is_greedy,
 )
 from chasegraph.chase import Derivation, derivation_key, enumerate_derivations, triggers
@@ -202,15 +198,6 @@ def layers_oracle(grd: RuleDependencyGraph) -> dict[str, int]:
         return layer_of_comp[ci]
 
     return {v: comp_layer(comp_of[v]) for v in grd.vertices}
-
-
-def rule_dependency_graph_oracle(rules: tuple[Rule, ...]) -> RuleDependencyGraph:
-    edges = set()
-    for r1 in rules:
-        for r2 in rules:
-            if depends_on(r2, r1):
-                edges.add((r1.rid, r2.rid))
-    return RuleDependencyGraph(tuple(r.rid for r in rules), frozenset(edges))
 
 
 def is_greedy_oracle(d: Derivation, kb: KnowledgeBase) -> GreedinessReport:

@@ -1,6 +1,4 @@
 import random
-from functools import lru_cache
-from pathlib import Path
 
 import pytest
 
@@ -30,17 +28,13 @@ from chasegraph.model import (
 )
 from chasegraph.randkb import random_kb
 
-import oracles
 from conftest import A, B, U, V, W, X, Y, Z, rename_derivation_nulls
 from oracles import (
     brute_force_depends_on,
     canonical_forms_oracle,
     is_greedy_oracle,
     layers_oracle,
-    rule_dependency_graph_oracle,
 )
-
-SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 
 # ---------------------------------------------------------------------------
@@ -140,34 +134,6 @@ def test_layers_of_a_long_chain_need_no_recursion():
     for r in reversed(rules[-3:]):
         d = d.extend(r, Substitution({X: A}))
     assert normalize_by_grd(d, grd).rule_ids() == ("r0", "r1", "r2")
-
-
-def test_grd_matches_the_all_pairs_oracle(monkeypatch):
-    # both sides share one verdict per pair, so each dependent pair is
-    # decided once; the oracle still asks every pair the index skips
-    shared = lru_cache(maxsize=None)(depends_on)
-    monkeypatch.setattr(analysis, "depends_on", shared)
-    monkeypatch.setattr(oracles, "depends_on", shared)
-    kbs = [parse_document((SAMPLES / f"{name}.rules").read_text()).knowledge_base()
-           for name in ("join", "chain")]
-    kbs += [random_kb(random.Random(seed)) for seed in range(300)]
-    edges = 0
-    for kb in kbs:
-        grd = rule_dependency_graph(kb.rules)
-        assert grd == rule_dependency_graph_oracle(kb.rules)
-        edges += len(grd.edges)
-    assert edges > 0
-
-
-def test_grd_asks_only_pairs_that_share_a_predicate(monkeypatch):
-    # a 400-rule chain has 399 such pairs, not 400 * 400
-    rules = tuple(Rule(f"r{i}", frozenset({Atom(f"p{i}", (X,))}),
-                       frozenset({Atom(f"p{i + 1}", (X,))})) for i in range(400))
-    calls = []
-    monkeypatch.setattr(analysis, "depends_on",
-                        lambda r2, r1: calls.append((r1, r2)) or depends_on(r2, r1))
-    assert len(rule_dependency_graph(rules).edges) == 399
-    assert len(calls) == 399
 
 
 def test_depends_on_matches_oracle_on_random_rules():
