@@ -1,12 +1,11 @@
 """Rule dependence, greediness checking, and derivation transformations.
 
 Dependence ("applying rule r1 can newly enable rule r2") is decided by
-checking candidate instances built from frozen copies of body(r1) together
-with frozen copies of a proper subset of body(r2), under every pattern that
-partitions the participating variables and optionally identifies blocks
-with rule constants.  Any real witness instance projects onto one of these
-candidates, so the enumeration is complete; each candidate is checked
-directly against the definition, so it is sound.
+piece-unification: part of body(r2) unifies with head(r1) so that r1's
+existential variables stay fresh nulls and some unified atom is new.  One
+unification per choice of atoms decides it, with no instance or
+homomorphism search; ``DECISIONS.md`` section 11 proves it sound and
+complete.
 
 Greediness of a derivation demands that each step's frontier image live
 inside the constants of the knowledge base, the nulls of the initial
@@ -18,21 +17,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .chase import Derivation, apply_rule, enumerate_derivations, triggers
+from .chase import Derivation, enumerate_derivations
 from .derivgraph import reachable
 from .errors import NotPermutableError
-from .homs import _pass_key, find_homomorphisms
+from .homs import _pass_key
 from .model import (
     Constant,
     Instance,
     KnowledgeBase,
     Rule,
-    Substitution,
     Term,
     Variable,
     nulls_of,
-    term_key,
-    variables_of,
 )
 
 
@@ -69,54 +65,37 @@ class RuleDependencyGraph:
         return {v: layer[v] for v in self.vertices}
 
 
-def _rename_apart(r: Rule, taken: frozenset[Variable]) -> Rule:
-    clash = variables_of(r.body) | variables_of(r.head)
-    if not (clash & taken):
-        return r
-    ren = Substitution({v: Variable(f"{v.name}__2") for v in clash})
-    return Rule(r.rid + "__2", frozenset(ren.apply(r.body)), frozenset(ren.apply(r.head)))
+def _tagged(atoms, side: int) -> list[tuple]:
+    """Atoms as (pred, args), each variable v tagged (side, v) so that two
+    rules' variables stay apart whatever their names."""
+    return [(a.pred, tuple((side, t) if isinstance(t, Variable) else t for t in a.args))
+            for a in atoms]
 
 
-def _patterns(variables: list[Variable], consts: list[Constant]):
-    """Every partition of the variables, each block frozen to its own fresh
-    constant or identified with one rule constant (injectively)."""
-    if not variables:
-        yield Substitution()
-        return
-    blocks: list[list[Variable]] = []
-    labels: list[Constant | None] = []
+def _root(parent: dict, t):
+    while t in parent:
+        t = parent[t]
+    return t
 
-    def emit() -> Substitution:
-        mapping: dict[Term, Term] = {}
-        for i, blk in enumerate(blocks):
-            img = labels[i] if labels[i] is not None else Constant(f"_frz{i}")
-            for v in blk:
-                mapping[v] = img
-        return Substitution(mapping)
 
-    def assign(i: int):
-        if i == len(variables):
-            yield emit()
-            return
-        v = variables[i]
-        for blk in blocks:
-            blk.append(v)
-            yield from assign(i + 1)
-            blk.pop()
-        blocks.append([v])
-        labels.append(None)
-        yield from assign(i + 1)
-        used = {c for c in labels if c is not None}
-        for c in consts:
-            if c in used:
-                continue
-            labels[-1] = c
-            yield from assign(i + 1)
-            labels[-1] = None
-        blocks.pop()
-        labels.pop()
+def _unifier(pairs) -> dict | None:
+    """The most general unifier of the term pairs, as a union-find parent
+    map in which a constant stays the root of its class; None when it would
+    identify two distinct constants."""
+    parent: dict = {}
+    for s, t in pairs:
+        s, t = _root(parent, s), _root(parent, t)
+        if s != t:
+            if isinstance(s, Constant):
+                if isinstance(t, Constant):
+                    return None
+                s, t = t, s
+            parent[s] = t
+    return parent
 
-    yield from assign(0)
+
+def _unified(parent: dict, atoms) -> set[tuple]:
+    return {(pred, tuple(_root(parent, t) for t in args)) for pred, args in atoms}
 
 
 def depends_on(r2: Rule, r1: Rule) -> bool:
@@ -125,37 +104,33 @@ def depends_on(r2: Rule, r1: Rule) -> bool:
     Formally: there is an instance I, a trigger h of r1 in I, and a
     homomorphism h2 mapping body(r2) into the result of applying (r1, h)
     such that h2 does not already map body(r2) into I itself.
+
+    Decided by piece-unification (``DECISIONS.md`` section 11): some
+    nonempty part ``new`` of body(r2) unifies with head(r1) so that each
+    existential of r1 keeps a class of its own, apart from constants, the
+    body of r1 and the rest of body(r2), and some unified atom of ``new``
+    is not among the unified atoms of body(r1) and that rest.
     """
     if not {a.pred for a in r1.head} & {a.pred for a in r2.body}:
         return False  # a new trigger must read at least one new atom
-    r2r = _rename_apart(r2, variables_of(r1.body) | variables_of(r1.head))
-    consts = sorted(r1.constants() | r2r.constants(), key=term_key)
-    body2 = sorted(r2r.body, key=lambda a: (a.pred, len(a.args), str(a)))
-    for keep_n in range(len(body2)):  # proper subsets: >= 1 atom must be new
-        for kept in itertools.combinations(body2, keep_n):
-            pool = sorted(
-                variables_of(r1.body) | variables_of(kept),
-                key=term_key,
-            )
-            for sigma in _patterns(pool, consts):
-                candidate = Instance(sigma.apply(r1.body) | sigma.apply(kept))
-                if _witnesses_dependence(candidate, r1, r2r):
+    head, body1, body2 = _tagged(r1.head, 1), _tagged(r1.body, 1), _tagged(r2.body, 2)
+    existentials = [(1, z) for z in r1.existentials]
+    for n in range(1, len(body2) + 1):
+        for new in itertools.combinations(body2, n):
+            rest = body1 + [a for a in body2 if a not in new]
+            others = {t for a in rest for t in a[1] if not isinstance(t, Constant)}
+            choices = [[h for h in head if (h[0], len(h[1])) == (a[0], len(a[1]))] for a in new]
+            for image in itertools.product(*choices):
+                parent = _unifier(zip([t for a in new for t in a[1]],
+                                      [t for h in image for t in h[1]]))
+                if parent is None:
+                    continue
+                roots = {_root(parent, z) for z in existentials}
+                if (len(roots) < len(existentials) or any(isinstance(r, Constant) for r in roots)
+                        or roots & {_root(parent, t) for t in others}):
+                    continue
+                if _unified(parent, new) - _unified(parent, rest):
                     return True
-    return False
-
-
-def _witnesses_dependence(instance: Instance, r1: Rule, r2: Rule) -> bool:
-    body2_preds = {a.pred for a in r2.body}
-    for h in triggers(instance, r1):
-        chased, trig = apply_rule(instance, r1, h)
-        new = chased - instance
-        # a new trigger must read a new atom, and atoms only match their
-        # own predicate
-        if not {a.pred for a in new} & body2_preds:
-            continue
-        for h2 in find_homomorphisms(r2.body, chased):
-            if not h2.apply(r2.body) <= instance.atoms:
-                return True
     return False
 
 

@@ -156,19 +156,28 @@ def cmd_graph(args) -> int:
 
 def _reduce_selected(args, irreducible: str) -> tuple[Derivation, ReductionTrace] | None:
     """The selected derivation and the complete ``--strategy`` reduction of
-    its graph.  A tripped state budget prints ``unknown`` and an irreducible
-    graph prints ``irreducible: <irreducible>``; both give None (exit 1)."""
+    its graph, or None (exit 1).  A tripped state budget prints ``unknown``
+    on stderr and an irreducible graph prints ``irreducible: <irreducible>``;
+    under ``--json`` (``treedecomp`` only) either is one JSON object on
+    stdout, with the tripped budget's name and limit."""
     kb = _load(args.file).knowledge_base()
     d = _select_derivation(kb, args.derivation, args.max_len, args.dedup)
     try:
         trace = reduce_graph(build_derivation_graph(d, kb), args.strategy)
     except ResourceLimitError as exc:
-        print(f"unknown: {exc}", file=sys.stderr)
-        return None
-    if trace is None:
+        outcome = {"result": "unknown", "detail": str(exc),
+                   "budget": {"name": exc.budget, "limit": exc.limit}}
+    else:
+        if trace is not None:
+            return d, trace
+        outcome = {"result": "irreducible", "detail": irreducible}
+    if getattr(args, "json", False):
+        sys.stdout.write(render.dumps({"schema": render.SCHEMA_VERSION, **outcome}))
+    elif "budget" in outcome:
+        print(f"unknown: {outcome['detail']}", file=sys.stderr)
+    else:
         print(f"irreducible: {irreducible}")
-        return None
-    return d, trace
+    return None
 
 
 def cmd_reduce(args) -> int:

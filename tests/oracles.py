@@ -4,7 +4,11 @@ The homomorphism oracle enumerates every assignment of the source's
 non-constant terms; the dependence oracle enumerates every instance over
 the two rules' body predicates on a small constant universe (up to
 renaming of the fresh constants) and checks the new-trigger condition on
-each.  Both are only usable at desk scale.
+each.  Both are only usable at desk scale.  The frozen-candidate oracle is
+the earlier ``depends_on``: it checks the instances built from frozen
+copies of body(r1) and of a proper subset of body(r2), under every
+partition of their variables and every injective identification of
+blocks with rule constants; its cost is exponential in those variables.
 
 The isomorphism oracle is the earlier ``isomorphic_mod_nulls``: plain
 backtracking over the nulls of one instance in ordinal order, pruning when
@@ -49,11 +53,15 @@ import itertools
 from chasegraph.analysis import (
     GreedinessReport,
     RuleDependencyGraph,
-    _rename_apart,
-    _witnesses_dependence,
     is_greedy,
 )
-from chasegraph.chase import Derivation, derivation_key, enumerate_derivations, triggers
+from chasegraph.chase import (
+    Derivation,
+    apply_rule,
+    derivation_key,
+    enumerate_derivations,
+    triggers,
+)
 from chasegraph.classify import (
     HOLDS,
     REFUTED,
@@ -79,6 +87,7 @@ from chasegraph.model import (
     Rule,
     Substitution,
     Term,
+    Variable,
     atom_key,
     constants_of,
     nulls_of,
@@ -110,6 +119,96 @@ def brute_force_homomorphisms(source, target: Instance) -> list[Substitution]:
             found.append(sub)
     found.sort(key=Substitution.key)
     return found
+
+
+def _rename_apart(r: Rule, taken: frozenset[Variable]) -> Rule:
+    clash = variables_of(r.body) | variables_of(r.head)
+    if not (clash & taken):
+        return r
+    ren = Substitution({v: Variable(f"{v.name}__2") for v in clash})
+    return Rule(r.rid + "__2", frozenset(ren.apply(r.body)), frozenset(ren.apply(r.head)))
+
+
+def _patterns(variables: list[Variable], consts: list[Constant]):
+    """Every partition of the variables, each block frozen to its own fresh
+    constant or identified with one rule constant (injectively)."""
+    if not variables:
+        yield Substitution()
+        return
+    blocks: list[list[Variable]] = []
+    labels: list[Constant | None] = []
+
+    def emit() -> Substitution:
+        mapping: dict[Term, Term] = {}
+        for i, blk in enumerate(blocks):
+            img = labels[i] if labels[i] is not None else Constant(f"_frz{i}")
+            for v in blk:
+                mapping[v] = img
+        return Substitution(mapping)
+
+    def assign(i: int):
+        if i == len(variables):
+            yield emit()
+            return
+        v = variables[i]
+        for blk in blocks:
+            blk.append(v)
+            yield from assign(i + 1)
+            blk.pop()
+        blocks.append([v])
+        labels.append(None)
+        yield from assign(i + 1)
+        used = {c for c in labels if c is not None}
+        for c in consts:
+            if c in used:
+                continue
+            labels[-1] = c
+            yield from assign(i + 1)
+            labels[-1] = None
+        blocks.pop()
+        labels.pop()
+
+    yield from assign(0)
+
+
+def frozen_candidate_depends_on(r2: Rule, r1: Rule) -> bool:
+    """True iff applying r1 to some instance can newly trigger r2.
+
+    Formally: there is an instance I, a trigger h of r1 in I, and a
+    homomorphism h2 mapping body(r2) into the result of applying (r1, h)
+    such that h2 does not already map body(r2) into I itself.
+    """
+    if not {a.pred for a in r1.head} & {a.pred for a in r2.body}:
+        return False  # a new trigger must read at least one new atom
+    r2r = _rename_apart(r2, variables_of(r1.body) | variables_of(r1.head))
+    consts = sorted(r1.constants() | r2r.constants(), key=term_key)
+    body2 = sorted(r2r.body, key=lambda a: (a.pred, len(a.args), str(a)))
+    for keep_n in range(len(body2)):  # proper subsets: >= 1 atom must be new
+        for kept in itertools.combinations(body2, keep_n):
+            pool = sorted(
+                variables_of(r1.body) | variables_of(kept),
+                key=term_key,
+            )
+            for sigma in _patterns(pool, consts):
+                candidate = Instance(sigma.apply(r1.body) | sigma.apply(kept))
+                if _witnesses_dependence(candidate, r1, r2r):
+                    return True
+    return False
+
+
+def _witnesses_dependence(instance: Instance, r1: Rule, r2: Rule) -> bool:
+    body2_preds = {a.pred for a in r2.body}
+    for h in triggers(instance, r1):
+        chased, trig = apply_rule(instance, r1, h)
+        new = chased - instance
+        # a new trigger must read a new atom, and atoms only match their
+        # own predicate
+        if not {a.pred for a in new} & body2_preds:
+            continue
+        for h2 in homs.find_homomorphisms(r2.body, chased):
+            if not h2.apply(r2.body) <= instance.atoms:
+                return True
+    return False
 
 
 def brute_force_depends_on(r2: Rule, r1: Rule, max_fresh: int = 3) -> bool:

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -32,9 +33,12 @@ from conftest import A, B, U, V, W, X, Y, Z, rename_derivation_nulls
 from oracles import (
     brute_force_depends_on,
     canonical_forms_oracle,
+    frozen_candidate_depends_on,
     is_greedy_oracle,
     layers_oracle,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +160,80 @@ def test_depends_on_matches_oracle_on_random_rules():
             assert depends_on(r2, r1) == brute_force_depends_on(r2, r1, max_fresh=2)
             checked += 1
     assert checked == 16
+
+
+def _parse_rules(text):
+    return tuple(parse_document(text).rules)
+
+
+# One literal case per condition of the piece-unifier test (DECISIONS.md
+# section 11), each failing only that condition, next to a twin that passes.
+@pytest.mark.parametrize("text, expected", [
+    # an existential unified with a constant
+    ("r1: p(X) -> q(X,Z).  r2: q(Y,a) -> t(Y).", False),
+    ("r1: p(X) -> q(X,Z).  r2: q(Y,W) -> t(Y).", True),
+    # an existential unified with a body variable of r1, through r2's repeated Y
+    ("r1: p(X) -> q(X,Z).  r2: q(Y,Y) -> t(Y).", False),
+    ("r1: p(X) -> q(X,X).  r2: q(Y,Y) -> t(Y).", True),
+    # two existentials unified together
+    ("r1: p(X) -> q(Z,W).  r2: q(Y,Y) -> t(Y).", False),
+    ("r1: p(X) -> q(Z,Z).  r2: q(Y,Y) -> t(Y).", True),
+    # an existential's variable that also sits in a kept atom
+    ("r1: p(X) -> q(X,Z).  r2: q(Y,W), s(W) -> t(Y).", False),
+    ("r1: p(X) -> q(X,Z).  r2: q(Y,W), s(Y) -> t(Y).", True),
+    # a redundant application: no existential, and the head is in the body
+    ("r1: q(X,Y), p(X) -> q(X,Y).  r2: q(U,V) -> t(U).", False),
+    ("r1: q(X,Y), p(X) -> q(Y,X).  r2: q(U,V) -> t(U).", True),
+])
+def test_each_piece_unifier_condition(text, expected):
+    r1, r2 = _parse_rules(text)
+    assert depends_on(r2, r1) is expected
+    assert brute_force_depends_on(r2, r1) is expected
+
+
+def test_rules_are_kept_apart_whatever_their_variable_names():
+    # renaming r2's X to X__2 would clash with r1's own X__2
+    r1, r2 = _parse_rules("r1: a(X,X__2) -> b(X,Z).  r2: b(Y,X) -> c(Y).")
+    assert depends_on(r2, r1)
+    assert frozen_candidate_depends_on(r2, r1)
+    assert brute_force_depends_on(r2, r1, max_fresh=2)
+
+
+def test_depends_on_decides_the_seed_233_pair_without_search():
+    # the frozen-candidate oracle takes seconds here: it partitions the six
+    # variables of body(g3) with those of a kept atom of body(g1), under
+    # two rule constants
+    g1, _, g3 = random_kb(random.Random(233)).rules
+    assert depends_on(g1, g3)
+
+
+def test_depends_on_matches_frozen_candidates_on_random_kbs_and_samples():
+    kbs = [random_kb(random.Random(seed)) for seed in range(100)]
+    kbs += [parse_document(p.read_text()).knowledge_base() for p in sorted(SAMPLES.glob("*.rules"))]
+    pairs = [(r1, r2) for kb in kbs for r1 in kb.rules for r2 in kb.rules]
+    assert len(pairs) >= 400
+    assert [depends_on(r2, r1) for r1, r2 in pairs] == [
+        frozen_candidate_depends_on(r2, r1) for r1, r2 in pairs]
+
+
+def test_depends_on_matches_brute_force_on_rules_with_constants():
+    rng = random.Random(19)
+    arity = {"p": 1, "q": 2, "e": 2}
+    body_terms = [X, Y, A]
+    head_terms = body_terms + [Z, W]
+
+    def atoms(terms, k):
+        return frozenset(Atom(p, tuple(rng.choice(terms) for _ in range(arity[p])))
+                         for p in (rng.choice(sorted(arity)) for _ in range(k)))
+
+    rules = [Rule(f"x{i}", atoms(body_terms, rng.randint(1, 2)), atoms(head_terms, 2))
+             for i in range(24)]
+    pairs = [(r1, r2) for r1 in rules[:12] for r2 in rules[12:]]
+    shaped = [(r1, r2) for r1, r2 in pairs
+              if r1.existentials and len(r1.head) == 2 and r1.constants() | r2.constants()]
+    assert len(shaped) >= 100
+    for r1, r2 in pairs:
+        assert depends_on(r2, r1) == brute_force_depends_on(r2, r1, max_fresh=2)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,35 @@ def test_treedecomp_irreducible_exit_code(join_file, capsys):
         assert capsys.readouterr().out == "irreducible: cannot extract a tree decomposition\n"
 
 
+def test_treedecomp_json_reports_an_irreducible_graph(join_file, capsys):
+    from chasegraph.chase import enumerate_derivations
+    from chasegraph.docparse import parse_document
+
+    kb = parse_document(Path(join_file).read_text()).knowledge_base()
+    target = next(i for i, d in enumerate(enumerate_derivations(kb.database, kb.rules, 3))
+                  if d.rule_ids() == ("r1", "r2", "r4"))
+    assert main(["treedecomp", join_file, "--derivation", str(target),
+                 "--max-len", "3", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"schema": 1, "result": "irreducible",
+                               "detail": "cannot extract a tree decomposition"}
+    assert err == ""
+
+
+def test_treedecomp_json_reports_a_tripped_budget(chain_file, monkeypatch, capsys):
+    def tripped(g, strategy):
+        raise ResourceLimitError("reduction search exceeded 5 states",
+                                 budget="reduction-states", limit=5)
+
+    monkeypatch.setattr(cli, "reduce_graph", tripped)
+    assert main(["treedecomp", chain_file, "--derivation", "3", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"schema": 1, "result": "unknown",
+                               "detail": "reduction search exceeded 5 states",
+                               "budget": {"name": "reduction-states", "limit": 5}}
+    assert err == ""
+
+
 def test_dot_steps_snapshots(chain_file, tmp_path, capsys):
     golden = _chain_golden_id(chain_file)
     outdir = tmp_path / "steps"
@@ -312,6 +341,24 @@ def test_a_derivation_id_past_the_enumeration_is_an_error(join_file, command, ca
         "error: no derivation with id 4 (enumeration bound --max-len 1)\n"
 
 
+@pytest.mark.parametrize("doc, argv, message", [
+    ("p(a). ?q: p(X). $\n", ["parse"], "parse error: 1:17: unexpected character '$'"),
+    ("p(a).\nP(b).\n", ["parse"], "parse error: 2:1: predicate 'P' must start lowercase"),
+    ("p(a).\n  p(X).\n", ["parse"], "parse error: 2:3: fact p(X) must be ground"),
+    ("p(a).\n?q: .\n", ["parse"], "parse error: 2:2: query q is empty"),
+    ("p(a).\n?q: p(X).\n?q: p(Y).\n", ["parse"], "parse error: 3:2: duplicate query name 'q'"),
+    ("r: p(X) -> q(X).\nr: p(X) -> s(X).\n", ["parse"],
+     "parse error: 2:1: duplicate rule name 'r'"),
+    (JOIN_DOC, ["entail", "--query", "nope"], "no query named 'nope' in FILE"),
+], ids=["character", "lowercase", "ground", "empty-query", "duplicate-query",
+        "duplicate-rule", "missing-query"])
+def test_input_error_messages_and_positions(tmp_path, doc, argv, message, capsys):
+    path = tmp_path / "input.rules"
+    path.write_text(doc)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", message.replace("FILE", str(path)) + "\n")
+
+
 def test_readme_synopsis_lists_every_option():
     # one synopsis line per subcommand, continuation lines joined to it
     block = README.read_text().split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
@@ -395,3 +442,31 @@ def test_derivation_ids_stable_across_processes(chain_file):
     first = run()
     assert first.startswith("0: len=0")
     assert first == run()
+
+
+# random_kb(random.Random(233)), whose pair depends_on(g1, g3) took the
+# frozen-candidate construction seconds
+KB_233_DOC = """\
+r(a,b,a). s(b).
+g1: p(X1,X1,a), r(X2,X2,X1) -> p(Z1,X2,b), p(Z2,Z1,Z1).
+g2: s(X2) -> r(X2,Z1,Z1).
+g3: p(X1,X2,X3), p(Y1,Y2,Y3) -> p(X1,Y2,Y1).
+"""
+
+
+def test_grd_json_of_the_seed_233_kb_is_stable_across_hash_seeds(tmp_path, monkeypatch):
+    import random
+    from chasegraph.docparse import parse_document
+    from chasegraph.randkb import random_kb
+
+    assert parse_document(KB_233_DOC).knowledge_base() == random_kb(random.Random(233))
+    path = tmp_path / "kb233.rules"
+    path.write_text(KB_233_DOC)
+    outputs = []
+    for seed in ("0", "3"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        proc = _run_cli("grd", str(path), "--json")
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["edges"] == [["g1", "g3"], ["g3", "g1"], ["g3", "g3"]]
