@@ -1,4 +1,6 @@
 import argparse
+import hashlib
+import itertools
 import json
 import re
 from pathlib import Path
@@ -6,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from chasegraph import cli, selfcheck
+from chasegraph import cli, model, selfcheck
 from chasegraph.cli import build_parser, main
 from chasegraph.errors import ResourceLimitError
 from conftest import subprocess_env
@@ -350,13 +352,27 @@ def test_a_derivation_id_past_the_enumeration_is_an_error(join_file, command, ca
     ("r: p(X) -> q(X).\nr: p(X) -> s(X).\n", ["parse"],
      "parse error: 2:1: duplicate rule name 'r'"),
     (JOIN_DOC, ["entail", "--query", "nope"], "no query named 'nope' in FILE"),
+    ("p(a) q(b).\n", ["parse"], "parse error: 1:6: expected DOT, found 'q'"),
+    ("p(a).\nr: p(X,Y) -> q(X).\n", ["parse"],
+     "parse error: 2:4: predicate p used with arity 2, previously 1"),
+    ("r: -> q(X).\n", ["parse"], "parse error: 1:4: rule r has no body atoms"),
+    ("p(a).\n\tr: p(X) -> .\n", ["parse"], "parse error: 2:13: rule r has no head atoms"),
+    ("\u00b2(a).\n", ["parse"], "parse error: 1:1: unexpected character '\u00b2'"),
+    ("1p(a).\n", ["parse"], "parse error: 1:1: unexpected character '1'"),
+    ("\u00e9(a).\n", ["parse"], None),
+    ("p(x\u00b2).\n", ["parse"], None),
 ], ids=["character", "lowercase", "ground", "empty-query", "duplicate-query",
-        "duplicate-rule", "missing-query"])
+        "duplicate-rule", "missing-query", "expected", "arity", "empty-body",
+        "empty-head-after-tab", "superscript-start", "digit-start", "letter-start",
+        "superscript-inside"])
 def test_input_error_messages_and_positions(tmp_path, doc, argv, message, capsys):
     path = tmp_path / "input.rules"
     path.write_text(doc)
-    assert main([argv[0], str(path), *argv[1:]]) == 2
-    assert capsys.readouterr() == ("", message.replace("FILE", str(path)) + "\n")
+    code = main([argv[0], str(path), *argv[1:]])
+    if message is None:  # accepted: parse echoes the document
+        assert (code, capsys.readouterr()) == (0, (doc, ""))
+    else:
+        assert (code, capsys.readouterr()) == (2, ("", message.replace("FILE", str(path)) + "\n"))
 
 
 def test_readme_synopsis_lists_every_option():
@@ -470,3 +486,156 @@ def test_grd_json_of_the_seed_233_kb_is_stable_across_hash_seeds(tmp_path, monke
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["edges"] == [["g1", "g3"], ["g3", "g1"], ["g3", "g3"]]
+
+
+# ---------------------------------------------------------------------------
+# every CLI output pinned on the samples
+# ---------------------------------------------------------------------------
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
+
+# per sample: a reducible derivation id (both are the run r1, r2, r3, r4),
+# the queries, and extra cases; OUT is a fresh output directory
+_PINNED_SAMPLES = {
+    "join": ("40", ("made_q", "joined"), [
+        ["reduce", "FILE", "--derivation", "41", "--strategy", "full"],
+        ["treedecomp", "FILE", "--derivation", "41", "--json"],
+    ]),
+    "chain": ("33", ("reach",), []),
+}
+
+
+def _pinned_cases() -> list[list[str]]:
+    cases = [["selfcheck", "--kbs", "5"]]
+    for name, (d, queries, extra) in _PINNED_SAMPLES.items():
+        file = str(SAMPLES / f"{name}.rules")
+        sample = [
+            ["parse", "FILE"],
+            ["chase", "FILE", "--depth", "2"],
+            ["chase", "FILE", "--depth", "2", "--json"],
+            ["derivations", "FILE", "--max-len", "3"],
+            ["derivations", "FILE", "--max-len", "3", "--json"],
+            ["greedy-check", "FILE", "--all", "--max-len", "3"],
+            ["greedy-check", "FILE", "--all", "--max-len", "3", "--json"],
+            ["grd", "FILE"],
+            ["grd", "FILE", "--json"],
+            ["grd", "FILE", "--dot", "OUT/grd.dot"],
+            ["graph", "FILE", "--derivation", d],
+            ["graph", "FILE", "--derivation", d, "--json"],
+            ["graph", "FILE", "--derivation", d, "--dot", "OUT/graph.dot"],
+            *(["reduce", "FILE", "--derivation", d, "--strategy", s,
+               "--trace", "OUT/trace.json", "--dot-steps", "OUT/steps"]
+              for s in ("cr-only", "full")),
+            ["treedecomp", "FILE", "--derivation", d],
+            ["treedecomp", "FILE", "--derivation", d, "--json"],
+            ["treedecomp", "FILE", "--derivation", d, "--dot", "OUT/td.dot"],
+            *(["classify", "FILE", "--class", c, "--depth", "3", *j]
+              for c in ("gbts", "wgbts", "cdgs", "wcdgs") for j in ([], ["--json"])),
+            *(["entail", "FILE", "--query", q] for q in queries),
+            *extra,
+        ]
+        cases += [[file if a == "FILE" else a for a in argv] for argv in sample]
+    return cases
+
+
+def _case_name(argv: list[str]) -> str:
+    return " ".join(Path(a).stem if a.startswith(str(SAMPLES)) else a for a in argv)
+
+
+def _output_digest(code: int, out: str, err: str, outdir: Path) -> str:
+    """sha256 (first 16 hex digits) of the exit code, stdout, stderr and
+    every file written under ``outdir``, by relative path."""
+    files = {str(p.relative_to(outdir)): p.read_text()
+             for p in sorted(outdir.rglob("*")) if p.is_file()}
+    blob = json.dumps([code, out, err, files])
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+_CLI_DIGESTS = {
+    "selfcheck --kbs 5": "b8b51fc31781854d",
+    "parse join": "dd5e51989995f765",
+    "chase join --depth 2": "6fb2ef77f9f0fef9",
+    "chase join --depth 2 --json": "7342b5c545ae64bf",
+    "derivations join --max-len 3": "f79020d14030e45e",
+    "derivations join --max-len 3 --json": "48555a65a078c8d2",
+    "greedy-check join --all --max-len 3": "63774f51867be662",
+    "greedy-check join --all --max-len 3 --json": "89eb8248862bec5a",
+    "grd join": "46b2e34f0cbcc883",
+    "grd join --json": "d89072d6e918cadb",
+    "grd join --dot OUT/grd.dot": "fd0c1092b7d6e17d",
+    "graph join --derivation 40": "fafa54ebaf24c32f",
+    "graph join --derivation 40 --json": "325e7fa9b9f9d5a8",
+    "graph join --derivation 40 --dot OUT/graph.dot": "742ccb6fb665f0dc",
+    "reduce join --derivation 40 --strategy cr-only --trace OUT/trace.json --dot-steps OUT/steps": "c6661e670f30854e",
+    "reduce join --derivation 40 --strategy full --trace OUT/trace.json --dot-steps OUT/steps": "5b3e4e88584729d9",
+    "treedecomp join --derivation 40": "aab9433262bfed83",
+    "treedecomp join --derivation 40 --json": "6f3fbf26185c48bd",
+    "treedecomp join --derivation 40 --dot OUT/td.dot": "92179dc780b6a7c5",
+    "classify join --class gbts --depth 3": "854f25ec9146c922",
+    "classify join --class gbts --depth 3 --json": "ea63f41135082e7e",
+    "classify join --class wgbts --depth 3": "49307357bb197b85",
+    "classify join --class wgbts --depth 3 --json": "c625c32775724373",
+    "classify join --class cdgs --depth 3": "6e23797132854580",
+    "classify join --class cdgs --depth 3 --json": "ed131256f61d5dc4",
+    "classify join --class wcdgs --depth 3": "dc32040e96cc8904",
+    "classify join --class wcdgs --depth 3 --json": "e0f91fbbd5b3f876",
+    "entail join --query made_q": "1f3231ae5181a21b",
+    "entail join --query joined": "9f6abe8b9b2319ec",
+    "reduce join --derivation 41 --strategy full": "6396fe4405f0e8b8",
+    "treedecomp join --derivation 41 --json": "d33d1b1a049b8a98",
+    "parse chain": "5487434228c3fc6e",
+    "chase chain --depth 2": "1121895ba13e1e33",
+    "chase chain --depth 2 --json": "8cc2b5afd1b36ca3",
+    "derivations chain --max-len 3": "4b7c79990fbaa232",
+    "derivations chain --max-len 3 --json": "e0bb8d28cb318948",
+    "greedy-check chain --all --max-len 3": "dd85dd960c33c029",
+    "greedy-check chain --all --max-len 3 --json": "e4495459faf1924f",
+    "grd chain": "8b1440742d18f58a",
+    "grd chain --json": "44a76616b9640282",
+    "grd chain --dot OUT/grd.dot": "ab96a25748735a58",
+    "graph chain --derivation 33": "0a7ae85a3b1e18bc",
+    "graph chain --derivation 33 --json": "f3cde7a0517b37f6",
+    "graph chain --derivation 33 --dot OUT/graph.dot": "843b3fb4ca7748c1",
+    "reduce chain --derivation 33 --strategy cr-only --trace OUT/trace.json --dot-steps OUT/steps": "74f6b4985b5307b0",
+    "reduce chain --derivation 33 --strategy full --trace OUT/trace.json --dot-steps OUT/steps": "ff2e2fed4aeb14b5",
+    "treedecomp chain --derivation 33": "33cb56fcb6b37b90",
+    "treedecomp chain --derivation 33 --json": "bcecb46ba743f2d2",
+    "treedecomp chain --derivation 33 --dot OUT/td.dot": "5a6838f7053f6653",
+    "classify chain --class gbts --depth 3": "1bd8c3041d05975d",
+    "classify chain --class gbts --depth 3 --json": "5554f0a22fc3287b",
+    "classify chain --class wgbts --depth 3": "49307357bb197b85",
+    "classify chain --class wgbts --depth 3 --json": "c78a7288e98de71f",
+    "classify chain --class cdgs --depth 3": "0403cce02eeae303",
+    "classify chain --class cdgs --depth 3 --json": "61f50efbf3c8d52c",
+    "classify chain --class wcdgs --depth 3": "dc32040e96cc8904",
+    "classify chain --class wcdgs --depth 3 --json": "4b8d97449185e3bb",
+    "entail chain --query reach": "68660bcf563a610a",
+}
+
+
+def test_every_cli_output_is_pinned_on_the_samples(tmp_path, monkeypatch, capsys):
+    digests = {}
+    for n, argv in enumerate(_pinned_cases()):
+        outdir = tmp_path / str(n)
+        outdir.mkdir()
+        # the null counter starts afresh, as in a new process
+        monkeypatch.setattr(model, "_null_counter", itertools.count(1))
+        code = main([a.replace("OUT", str(outdir)) for a in argv])
+        out, err = capsys.readouterr()
+        digests[_case_name(argv)] = _output_digest(code, out, err, outdir)
+    assert digests == _CLI_DIGESTS
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "FILE", "--derivation", "33", "--json"],
+    ["treedecomp", "FILE", "--derivation", "33", "--dot", "OUT/td.dot"],
+], ids=["graph-json", "treedecomp-dot"])
+def test_pinned_outputs_do_not_depend_on_the_hash_seed(argv, tmp_path, monkeypatch):
+    argv = [str(SAMPLES / "chain.rules") if a == "FILE" else a for a in argv]
+    for seed in ("0", "3"):
+        outdir = tmp_path / seed
+        outdir.mkdir()
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        proc = _run_cli(*(a.replace("OUT", str(outdir)) for a in argv))
+        digest = _output_digest(proc.returncode, proc.stdout, proc.stderr, outdir)
+        assert digest == _CLI_DIGESTS[_case_name(argv)], seed
