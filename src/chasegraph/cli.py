@@ -17,7 +17,7 @@ from .classify import CLASSES, classify, entails
 from .derivgraph import build_derivation_graph
 from .docparse import RuleDocument, parse_document, print_document
 from .errors import EngineError, ParseError, ResourceLimitError
-from .model import KnowledgeBase, term_key
+from .model import KnowledgeBase, term_set_str
 from .reduction import ReductionTrace, check_prefix_invariants, reduce_graph
 from .selfcheck import check_corpus
 from .treedecomp import extract_tree_decomposition, validate_tree_decomposition
@@ -68,11 +68,7 @@ def cmd_chase(args) -> int:
     kb = _load(args.file).knowledge_base()
     inst = chase_k(kb.database, kb.rules, args.depth)
     if args.json:
-        sys.stdout.write(render.dumps({
-            "schema": render.SCHEMA_VERSION,
-            "depth": args.depth,
-            "atoms": render.instance_json(inst),
-        }))
+        sys.stdout.write(render.dumps({"depth": args.depth, "atoms": render.instance_json(inst)}))
     else:
         for a in inst.sorted_atoms():
             print(a)
@@ -83,10 +79,7 @@ def cmd_derivations(args) -> int:
     kb = _load(args.file).knowledge_base()
     rows = list(enumerate_derivations(kb.database, kb.rules, args.max_len, dedup=args.dedup))
     if args.json:
-        sys.stdout.write(render.dumps({
-            "schema": render.SCHEMA_VERSION,
-            "derivations": [render.derivation_json(d) for d in rows],
-        }))
+        sys.stdout.write(render.dumps({"derivations": [render.derivation_json(d) for d in rows]}))
     else:
         for i, d in enumerate(rows):
             print(_derivation_line(i, d))
@@ -103,13 +96,9 @@ def cmd_greedy_check(args) -> int:
         indices = [args.derivation]
     reports = [(i, d, is_greedy(d, kb)) for i, d in zip(indices, targets)]
     if args.json:
-        sys.stdout.write(render.dumps({
-            "schema": render.SCHEMA_VERSION,
-            "results": [
-                {"id": i, "rules": list(d.rule_ids()), **render.greediness_json(rep)}
-                for i, d, rep in reports
-            ],
-        }))
+        sys.stdout.write(render.dumps({"results": [
+            {"id": i, "rules": list(d.rule_ids()), **render.greediness_json(rep)}
+            for i, d, rep in reports]}))
     else:
         for i, d, report in reports:
             verdict = "greedy" if report.greedy else "non-greedy"
@@ -128,7 +117,6 @@ def cmd_grd(args) -> int:
         Path(args.dot).write_text(render.grd_to_dot(grd))
     if args.json:
         sys.stdout.write(render.dumps({
-            "schema": render.SCHEMA_VERSION,
             "vertices": list(grd.vertices),
             "edges": sorted(list(e) for e in grd.edges),
             "sources": sorted(grd.sources()),
@@ -148,7 +136,7 @@ def cmd_graph(args) -> int:
     if args.dot:
         Path(args.dot).write_text(dot)
     if args.json:
-        sys.stdout.write(render.dumps({"schema": render.SCHEMA_VERSION, **render.graph_json(g)}))
+        sys.stdout.write(render.dumps(render.graph_json(g)))
     elif not args.dot:
         sys.stdout.write(dot)
     return 0
@@ -172,7 +160,7 @@ def _reduce_selected(args, irreducible: str) -> tuple[Derivation, ReductionTrace
             return d, trace
         outcome = {"result": "irreducible", "detail": irreducible}
     if getattr(args, "json", False):
-        sys.stdout.write(render.dumps({"schema": render.SCHEMA_VERSION, **outcome}))
+        sys.stdout.write(render.dumps(outcome))
     elif "budget" in outcome:
         print(f"unknown: {outcome['detail']}", file=sys.stderr)
     else:
@@ -215,7 +203,7 @@ def cmd_treedecomp(args) -> int:
         sys.stdout.write(render.dumps({**render.td_json(td), "valid": valid}))
     else:
         for i, bag in enumerate(td.bags):
-            print(f"B{i}: {{{','.join(str(t) for t in sorted(bag, key=term_key))}}}")
+            print(f"B{i}: {term_set_str(bag)}")
         print("edges:", " ".join(f"B{a}-B{b}" for a, b in sorted(td.edges)))
         print(f"width: {td.width}  valid: {valid}")
     return 0 if valid else 1

@@ -32,8 +32,10 @@ from .model import (
     Null,
     Rule,
     Term,
-    terms_of,
+    atom_set_str,
     term_key,
+    term_set_str,
+    terms_of,
 )
 
 Arc = tuple[int, int]
@@ -241,10 +243,8 @@ class DerivationGraph:
         return frozenset(self.arcs.items())
 
     def __repr__(self) -> str:
-        arcs = ", ".join(
-            f"X{i}->X{j}:{{{','.join(str(t) for t in sorted(lbl, key=term_key))}}}"
-            for (i, j), lbl in sorted(self.arcs.items())
-        )
+        arcs = ", ".join(f"X{i}->X{j}:{term_set_str(lbl)}"
+                         for (i, j), lbl in sorted(self.arcs.items()))
         return f"DerivationGraph({len(self.at)} nodes; {arcs})"
 
 
@@ -356,12 +356,12 @@ def check_decomposition_properties(
     want = terms | g.constants
     term_cover = covered == want
     if not term_cover:
-        failures.append(f"term cover: {covered ^ want} mismatched")
+        failures.append(f"term cover: {term_set_str(covered ^ want)} mismatched")
 
     decorated = facts.decorated
     atom_cover = final.atoms <= decorated
     if not atom_cover:
-        failures.append(f"atom cover: missing {final.atoms - decorated}")
+        failures.append(f"atom cover: missing {atom_set_str(final.atoms - decorated)}")
 
     # a null that each of its nodes reaches is connected along directed
     # paths, so only the nulls unreached somewhere need the search

@@ -6,14 +6,17 @@ Format, one statement per '.', with '%' line comments:
     r1: p(X) -> q(X,Y,Z).             % rule: NAME: body -> head
     ?q1: q(X,Y,Z).                    % named Boolean query
 
-Identifiers starting with a lowercase letter are constants or predicates;
-identifiers starting with an uppercase letter (or underscore) are
-variables.  Variables occurring only in a rule head are existential.
-Predicate arities must be consistent across the whole document.
+One regular expression, ``_TOKEN``, splits the text.  An identifier is a
+letter or '_' followed by letters, digits and '_'; one starting with a
+lowercase letter is a constant or predicate, any other a variable.
+Variables occurring only in a rule head are existential.  Predicate arities
+must be consistent across the whole document.  Errors carry 1-based
+``line:column`` positions, counted in characters (a tab is one column).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import ArityMismatchError, EmptyBodyError, EmptyHeadError, ParseError
@@ -38,49 +41,27 @@ class Token:
     column: int
 
 
-_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ":": "COLON", ".": "DOT", "?": "QMARK"}
+# SKIP and NEWLINE make no token, ERROR is any other character, and an IDENT
+# must start with a letter or '_' (\w also matches digits)
+_TOKEN = re.compile(r"""
+    (?P<NEWLINE>\n) | (?P<SKIP>[ \t\r]+|%[^\n]*) | (?P<IDENT>\w+) | (?P<ARROW>->)
+  | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,) | (?P<COLON>:) | (?P<DOT>\.) | (?P<QMARK>\?)
+  | (?P<ERROR>.)
+""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            tokens.append(Token(_PUNCT[c], c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            start_col = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(Token("IDENT", text[start:i], line, start_col))
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, column = m.lastgroup, m.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "ERROR" or (kind == "IDENT" and not (m[0][0].isalpha() or m[0][0] == "_")):
+            raise ParseError(f"unexpected character {m[0][0]!r}", line, column)
+        elif kind != "SKIP":
+            tokens.append(Token(kind, m[0], line, column))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 

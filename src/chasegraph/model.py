@@ -62,6 +62,11 @@ def term_key(t: Term) -> tuple:
     return (_KIND_RANK[type(t)], t.name)
 
 
+def term_set_str(terms: Iterable[Term]) -> str:
+    """``{a,b,_:n1}``: the terms in term_key order."""
+    return "{" + ",".join(str(t) for t in sorted(terms, key=term_key)) + "}"
+
+
 @dataclass(frozen=True, slots=True)
 class Atom:
     pred: str
@@ -81,6 +86,11 @@ class Atom:
 def atom_key(a: Atom) -> tuple:
     return (a.pred, len(a.args), tuple([  # term_key, inlined
         (2, t.ordinal) if type(t) is Null else (_KIND_RANK[type(t)], t.name) for t in a.args]))
+
+
+def atom_set_str(atoms: Iterable[Atom]) -> str:
+    """``{p(a), q(a,b)}``: the atoms in atom_key order."""
+    return "{" + ", ".join(str(a) for a in sorted(atoms, key=atom_key)) + "}"
 
 
 def terms_of(atoms: Iterable[Atom]) -> frozenset[Term]:
@@ -150,8 +160,7 @@ class Instance:
         return self.atoms - other.atoms
 
     def __repr__(self) -> str:
-        inner = ", ".join(str(a) for a in sorted(self.atoms, key=atom_key))
-        return f"{{{inner}}}"
+        return atom_set_str(self.atoms)
 
     def terms(self) -> frozenset[Term]:
         try:
@@ -221,10 +230,7 @@ class Substitution:
         return hash(frozenset(self.mapping.items()))
 
     def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{k}->{v}" for k, v in sorted(self.mapping.items(), key=lambda kv: term_key(kv[0]))
-        )
-        return f"{{{inner}}}"
+        return "{" + ", ".join(f"{k}->{v}" for k, v in self.items()) + "}"
 
     def items(self) -> list[tuple[Term, Term]]:
         return sorted(self.mapping.items(), key=lambda kv: term_key(kv[0]))

@@ -1,62 +1,59 @@
-"""DOT and JSON emitters.  All output is deterministically ordered."""
+"""DOT and JSON emitters.  All output is deterministically ordered.
+
+Every DOT document is written by :func:`_dot`, and every top-level JSON
+document by :func:`dumps`, which puts ``"schema": SCHEMA_VERSION`` first.
+"""
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterable
 
 from .analysis import GreedinessReport, RuleDependencyGraph
 from .chase import Derivation
 from .classify import ClassificationVerdict, GroupWitness, Refutation
 from .derivgraph import DerivationGraph
-from .model import Instance, Term, atom_key, term_key
+from .model import Instance, atom_set_str, term_key, term_set_str
 from .reduction import ArStep, CrStep, ReductionStep, ReductionTrace, TrStep
 from .treedecomp import TreeDecomposition
 
 SCHEMA_VERSION = 1
 
 
-def label_str(label: frozenset[Term]) -> str:
-    return "{" + ",".join(str(t) for t in sorted(label, key=term_key)) + "}"
-
-
-def _atoms_str(atoms) -> str:
-    return "{" + ", ".join(str(a) for a in sorted(atoms, key=atom_key)) + "}"
-
-
 # ---------------------------------------------------------------------------
 # DOT
 # ---------------------------------------------------------------------------
 
+def _dot(graph: str, nodes: Iterable[tuple[str, str]],
+         edges: Iterable[tuple[str, str, str]]) -> str:
+    """A DOT document headed ``graph`` ("digraph NAME" or "graph NAME"): one
+    line per (id, attributes) node and (tail, head, attributes) edge, empty
+    attributes left out."""
+    arrow = " -> " if graph.startswith("digraph") else " -- "
+    lines = [f"{graph} {{"]
+    for *ids, attrs in (*nodes, *edges):
+        ends = arrow.join(f'"{i}"' for i in ids)
+        lines.append(f"  {ends} [{attrs}];" if attrs else f"  {ends};")
+    return "\n".join(lines) + "\n}\n"
+
+
 def graph_to_dot(g: DerivationGraph) -> str:
-    lines = ["digraph derivation_graph {"]
-    for i in g.nodes:
-        lines.append(f'  "X{i}" [label="X{i}: {_atoms_str(g.at[i])}"];')
-    for (i, j), lbl in sorted(g.arcs.items()):
-        lines.append(f'  "X{i}" -> "X{j}" [label="{label_str(lbl)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("digraph derivation_graph",
+                ((f"X{i}", f'label="X{i}: {atom_set_str(g.at[i])}"') for i in g.nodes),
+                ((f"X{i}", f"X{j}", f'label="{term_set_str(lbl)}"')
+                 for (i, j), lbl in sorted(g.arcs.items())))
 
 
 def grd_to_dot(grd: RuleDependencyGraph) -> str:
-    lines = ["digraph rule_dependencies {"]
-    for v in grd.vertices:
-        lines.append(f'  "{v}";')
-    for a, b in sorted(grd.edges):
-        lines.append(f'  "{a}" -> "{b}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("digraph rule_dependencies", ((v, "") for v in grd.vertices),
+                ((a, b, "") for a, b in sorted(grd.edges)))
 
 
 def td_to_dot(td: TreeDecomposition) -> str:
-    lines = ["graph tree_decomposition {"]
-    for i, bag in enumerate(td.bags):
-        terms = ",".join(str(t) for t in sorted(bag, key=term_key))
-        lines.append(f'  "B{i}" [label="B{i}: {{{terms}}}", shape=box];')
-    for a, b in sorted(td.edges):
-        lines.append(f'  "B{a}" -- "B{b}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("graph tree_decomposition",
+                ((f"B{i}", f'label="B{i}: {term_set_str(bag)}", shape=box')
+                 for i, bag in enumerate(td.bags)),
+                ((f"B{a}", f"B{b}", "") for a, b in sorted(td.edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -68,14 +65,12 @@ def instance_json(inst: Instance) -> list[str]:
 
 
 def derivation_json(d: Derivation) -> dict[str, Any]:
-    steps = []
-    for i, step in enumerate(d.steps, start=1):
-        steps.append({
-            "rule": step.rule.rid,
-            "hom": {str(k): str(v) for k, v in step.trigger.hom.items()},
-            "extension": {str(k): str(v) for k, v in step.trigger.extension.items()},
-            "new_atoms": sorted(str(a) for a in d.new_atoms(i)),
-        })
+    steps = [{
+        "rule": step.rule.rid,
+        "hom": {str(k): str(v) for k, v in step.trigger.hom.items()},
+        "extension": {str(k): str(v) for k, v in step.trigger.extension.items()},
+        "new_atoms": sorted(str(a) for a in step.new_atoms),
+    } for step in d.steps]
     return {"initial": instance_json(d.initial), "steps": steps}
 
 
@@ -123,7 +118,6 @@ def trace_json(trace: ReductionTrace, strategy: str) -> dict[str, Any]:
 
 def td_json(td: TreeDecomposition) -> dict[str, Any]:
     return {
-        "schema": SCHEMA_VERSION,
         "bags": [sorted(str(t) for t in bag) for bag in td.bags],
         "edges": sorted([a, b] for a, b in td.edges),
         "root": td.root,
@@ -176,5 +170,6 @@ def verdict_json(v: ClassificationVerdict) -> dict[str, Any]:
     return out
 
 
-def dumps(payload: Any) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+def dumps(payload: dict[str, Any]) -> str:
+    """A top-level JSON document: ``"schema"`` first, then the payload."""
+    return json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2) + "\n"

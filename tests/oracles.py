@@ -89,9 +89,11 @@ from chasegraph.model import (
     Term,
     Variable,
     atom_key,
+    atom_set_str,
     constants_of,
     nulls_of,
     term_key,
+    term_set_str,
     terms_of,
     variables_of,
 )
@@ -735,12 +737,12 @@ def check_decomposition_properties_oracle(g, final: Instance, kb: KnowledgeBase)
     want = final.terms() | g.constants
     term_cover = covered == want
     if not term_cover:
-        failures.append(f"term cover: {covered ^ want} mismatched")
+        failures.append(f"term cover: {term_set_str(covered ^ want)} mismatched")
 
     decorated = frozenset.union(*(frozenset(g.at[i]) for i in g.nodes))
     atom_cover = final.atoms <= decorated
     if not atom_cover:
-        failures.append(f"atom cover: missing {final.atoms - decorated}")
+        failures.append(f"atom cover: missing {atom_set_str(final.atoms - decorated)}")
 
     connected = True
     undirected = {i: set() for i in g.nodes}

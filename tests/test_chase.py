@@ -21,7 +21,7 @@ from chasegraph.chase import (
 from chasegraph.docparse import parse_document
 from chasegraph.errors import NotTriggeredError, ResourceLimitError
 from chasegraph.homs import hom_exists, isomorphic_mod_nulls
-from chasegraph.model import Atom, Constant, Instance, Rule, Substitution, Variable, nulls_of
+from chasegraph.model import Atom, Constant, Instance, Null, Rule, Substitution, Variable, nulls_of
 from chasegraph.randkb import random_kb
 
 from conftest import A, B, X, Y, Z, trace_key
@@ -366,6 +366,33 @@ def test_validate_rejects_a_trigger_outside_the_instance(join_kb):
     bad = DerivationStep(step.rule, Trigger("r1", Substitution({X: B}), ext), step.new_atoms)
     with pytest.raises(ValueError, match="does not map the body"):
         Derivation(d.initial, (bad,)).validate()
+
+
+@pytest.mark.parametrize("rid, hom, ext, message", [
+    ("r2", {X: A}, {X: A, Y: Null(-1), Z: Null(-2)}, "step 1: trigger names rule r2"),
+    ("r1", {X: A, Y: A}, {X: A, Y: A, Z: Null(-2)}, "step 1: trigger domain is not vars"),
+    ("r1", {X: A}, {X: B, Y: Null(-1), Z: Null(-2)}, "step 1: extension disagrees"),
+    ("r1", {X: A}, {X: A, Y: Null(-1), Z: Null(-1)}, "step 1: existential images are not"),
+    ("r1", {X: A}, {X: A, Y: Null(-1), Z: B}, "step 1: existential images are not"),
+], ids=["rule-name", "domain", "extension", "shared-null", "constant"])
+def test_validate_rejects_a_broken_trigger(join_kb, rid, hom, ext, message):
+    r1 = join_kb.rule_by_id("r1")
+    ext = Substitution(ext)
+    bad = DerivationStep(r1, Trigger(rid, Substitution(hom), ext),
+                         ext.apply(r1.head) - join_kb.database.atoms)
+    with pytest.raises(ValueError, match=message):
+        Derivation(join_kb.database, (bad,)).validate()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda kb: chase_levels(kb.database, kb.rules, -1), "k must be >= 0"),
+    (lambda kb: chase_k(kb.database, kb.rules, -1), "k must be >= 0"),
+    (lambda kb: next(enumerate_derivations(kb.database, kb.rules, -1)),
+     "max_len must be >= 0"),
+], ids=["chase_levels", "chase_k", "enumerate_derivations"])
+def test_negative_bounds_are_rejected(join_kb, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(join_kb)
 
 
 def test_enumeration_depth_is_not_bounded_by_the_recursion_limit():

@@ -138,6 +138,8 @@ def test_classify_rejects_bad_arguments(join_kb):
         classify(join_kb, "nonsense", 2)
     with pytest.raises(ValueError):
         classify(join_kb, "gbts", 0)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        entails(join_kb, BooleanQuery(join_kb.database.atoms), -1)
 
 
 def test_entailment_examples(join_kb, chain_kb):

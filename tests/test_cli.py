@@ -361,10 +361,11 @@ def test_a_derivation_id_past_the_enumeration_is_an_error(join_file, command, ca
     ("1p(a).\n", ["parse"], "parse error: 1:1: unexpected character '1'"),
     ("\u00e9(a).\n", ["parse"], None),
     ("p(x\u00b2).\n", ["parse"], None),
+    ("p(a) % no dot", ["parse"], "parse error: 1:14: expected DOT, found ''"),
 ], ids=["character", "lowercase", "ground", "empty-query", "duplicate-query",
         "duplicate-rule", "missing-query", "expected", "arity", "empty-body",
         "empty-head-after-tab", "superscript-start", "digit-start", "letter-start",
-        "superscript-inside"])
+        "superscript-inside", "end-of-input-after-comment"])
 def test_input_error_messages_and_positions(tmp_path, doc, argv, message, capsys):
     path = tmp_path / "input.rules"
     path.write_text(doc)

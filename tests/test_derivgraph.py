@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from chasegraph.chase import Derivation, enumerate_derivations
@@ -12,7 +15,8 @@ from chasegraph.derivgraph import (
 from chasegraph.errors import UnknownTermError
 from chasegraph.model import Atom, Instance, KnowledgeBase, Null, Rule, Substitution
 
-from conftest import A, B, X, Y, Z, chain_nulls, rename_derivation_nulls
+from conftest import A, B, X, Y, Z, chain_nulls, rename_derivation_nulls, subprocess_env
+from oracles import check_decomposition_properties_oracle
 
 
 def test_chain_graph_matches_golden_structure(chain_kb, chain_derivation):
@@ -180,3 +184,39 @@ def test_all_enumerated_graphs_satisfy_invariants(join_kb):
         report = check_decomposition_properties(g, d.final, join_kb)
         assert report.ok, report.failures
         assert check_generative_paths(g) == []
+
+
+# one graph checked against a final instance with four atoms it lacks
+_COVER_FAILURES = """
+from chasegraph.chase import enumerate_derivations
+from chasegraph.derivgraph import build_derivation_graph, check_decomposition_properties
+from chasegraph.docparse import parse_document
+from chasegraph.model import Atom, Constant
+
+kb = parse_document("p(a,b). r1: p(X,Y) -> q(Y,Z).").knowledge_base()
+*_, d = enumerate_derivations(kb.database, kb.rules, 1)
+final = d.final | [Atom("e", (Constant(f"u{i}"),)) for i in range(1, 5)]
+print(*check_decomposition_properties(build_derivation_graph(d, kb), final, kb).failures,
+      sep="\\n")
+"""
+
+
+def test_cover_failure_messages_do_not_depend_on_the_hash_seed():
+    expected = ("term cover: {u1,u2,u3,u4} mismatched\n"
+                "atom cover: missing {e(u1), e(u2), e(u3), e(u4)}\n")
+    for seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _COVER_FAILURES], capture_output=True,
+                              text=True, env=subprocess_env(PYTHONHASHSEED=seed))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, ""), seed
+
+
+def test_cover_failure_messages_match_the_oracle(chain_kb, chain_derivation):
+    d = chain_derivation
+    g = build_derivation_graph(d, chain_kb)
+    final = d.final | [Atom("e", (A, B)), Atom("e", (B, Null(10**6)))]
+    report = check_decomposition_properties(g, final, chain_kb)
+    assert report.failures == (
+        f"term cover: {{{Null(10**6)}}} mismatched",
+        f"atom cover: missing {{e(a,b), e(b,{Null(10**6)})}}",
+    )
+    assert check_decomposition_properties_oracle(g, final, chain_kb).failures == report.failures

@@ -327,6 +327,14 @@ def test_replay_detects_tampering(golden):
     broken = ReductionTrace(g, trace.steps, (g,) + trace.graphs[:-1])
     with pytest.raises(ValueError):
         broken.replay()
+    with pytest.raises(ValueError, match="does not start at the initial graph"):
+        ReductionTrace(g, trace.steps, trace.graphs[::-1]).replay()
+
+
+def test_reduce_graph_rejects_an_unknown_strategy(golden):
+    g, *_ = golden
+    with pytest.raises(ValueError, match="unknown strategy 'greedy'"):
+        reduce_graph(g, "greedy")
 
 
 def test_replay_rejects_graphs_with_other_node_facts(chain_kb, chain_derivation):

@@ -88,6 +88,13 @@ C = Constant("c")
 ABC = Instance({Atom("p", (A, B)), Atom("q", (C,))})
 
 
+def test_uncovered_term_fails():
+    td = TreeDecomposition((frozenset({A, B}),), frozenset(), 0)
+    assert td.is_tree()
+    assert not validate_tree_decomposition(td, ABC)
+    assert not validate_tree_decomposition_oracle(td, ABC)
+
+
 @pytest.mark.parametrize("td", [
     # two edges for three bags, but one names bag 7 and bag 2 is on none
     TreeDecomposition((frozenset({A}), frozenset({A, B}), frozenset({C})),
