@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotTriggeredError, ResourceLimitError
 from .homs import _index_by_pred, _match_atom, _search, find_homomorphisms
@@ -48,8 +48,7 @@ DEFAULT_MAX_ATOMS = 10**5
 DEFAULT_MAX_DERIVATIONS = 10**6
 
 
-@dataclass(frozen=True, slots=True)
-class Trigger:
+class Trigger(NamedTuple):
     """A rule body match plus its recorded head extension.
 
     ``hom`` maps exactly the body variables; ``extension`` additionally maps
@@ -61,8 +60,7 @@ class Trigger:
     extension: Substitution
 
 
-@dataclass(frozen=True, slots=True)
-class DerivationStep:
+class DerivationStep(NamedTuple):
     """One rule application and the atoms it added (its head image minus
     the instance it was applied to)."""
 
@@ -233,7 +231,7 @@ def derivation_key(d: Derivation) -> tuple:
             return (2, dense[t])
         return term_key(t)
 
-    for t in sorted(nulls_of(d.initial.atoms), key=term_key):
+    for t in sorted(nulls_of(d.initial.atoms)):
         render(t)
     key = []
     for step in d.steps:

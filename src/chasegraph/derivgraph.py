@@ -33,7 +33,6 @@ from .model import (
     Rule,
     Term,
     atom_set_str,
-    term_key,
     term_set_str,
     terms_of,
 )
@@ -375,7 +374,7 @@ def check_decomposition_properties(
                 split.append(x)
     connected = not split
     failures += (f"occurrence subgraph for {x} is disconnected"
-                 for x in sorted(split, key=term_key))
+                 for x in sorted(split))
 
     bound = kb.width_bound
     oversized = ([i for i, ts in enumerate(facts.terms) if len(ts) > bound]
@@ -400,7 +399,6 @@ def check_generative_paths(g: DerivationGraph) -> list[str]:
     null and then by node.
     """
     occurrences = g.facts.occurrences
-    # term_key tells nulls apart, so the sort never compares two nulls
-    failing = sorted((term_key(x), k, x) for k, xs in enumerate(g.unreached()) for x in xs)
+    failing = sorted((x, k) for k, xs in enumerate(g.unreached()) for x in xs)
     return [f"no admissible directed path from X{occurrences[x][0]} to X{k} for {x}"
-            for _, k, x in failing]
+            for x, k in failing]

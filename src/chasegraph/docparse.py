@@ -29,7 +29,7 @@ from .model import (
     Rule,
     Term,
     Variable,
-    atom_key,
+    atom_list_str,
 )
 
 
@@ -184,7 +184,5 @@ def print_document(doc: RuleDocument) -> str:
     """Render a document so that parsing the output reproduces it."""
     lines = [f"{a}." for a in doc.facts]
     lines += [str(r) for r in doc.rules]
-    for name, q in doc.queries.items():
-        atoms = ", ".join(str(a) for a in sorted(q.atoms, key=atom_key))
-        lines.append(f"?{name}: {atoms}.")
+    lines += [f"?{name}: {atom_list_str(q.atoms)}." for name, q in doc.queries.items()]
     return "\n".join(lines) + ("\n" if lines else "")

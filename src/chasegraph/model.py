@@ -1,11 +1,20 @@
 """Core vocabulary: terms, atoms, instances, substitutions, rules, queries, KBs.
 
-Terms come in three disjoint kinds.  Constants and variables are identified
-by name; nulls are identified by a globally unique creation ordinal handed
-out by :func:`fresh_null`.  Every value here is immutable and hashable, so
-instances and rules can be shared freely between threads; the null ordinal
-counter is the only mutable global and ``itertools.count`` makes it atomic
-under CPython.
+Terms come in three disjoint kinds, each a ``tuple`` subclass laid out as
+``(kind, name|ordinal)``: a constant is ``(0, name)``, a variable
+``(1, name)`` and a null ``(2, ordinal)``, with the ordinal a globally unique
+creation number handed out by :func:`fresh_null`.  An atom is the tuple
+``(pred, args)``.  So hashing, equality and order run in C, and a term's
+tuple order is the engine's term order: constants, variables, nulls, then
+by name or ordinal.  A term equals the plain tuple of its fields, so no
+container may hold both.  ``term_key`` and ``atom_key`` return plain tuples:
+``repr(chase.derivation_key(d))`` pins derivation ids and certificates and
+must name no term class, and ``atom_key`` sorts by arity before arguments,
+which an atom's own tuple order does not.
+
+Every value here is immutable and hashable, so instances and rules can be
+shared freely between threads; the null ordinal counter is the only mutable
+global and ``itertools.count`` makes it atomic under CPython.
 """
 
 from __future__ import annotations
@@ -13,33 +22,59 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
 from .errors import UnboundVariableError
 
 
-@dataclass(frozen=True, slots=True)
-class Constant:
-    name: str
+class _Term(tuple):
+    """A term, laid out as ``(kind, name|ordinal)``; each kind names its
+    second field ``_field``."""
+
+    __slots__ = ()
+
+    def __getnewargs__(self) -> tuple:
+        return (self[1],)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._field}={self[1]!r})"
+
+
+class Constant(_Term):
+    __slots__ = ()
+    _field = "name"
+    name = property(itemgetter(1))
+
+    def __new__(cls, name: str) -> "Constant":
+        return tuple.__new__(cls, (0, name))
 
     def __str__(self) -> str:
-        return self.name
+        return self[1]
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
-    name: str
+class Variable(_Term):
+    __slots__ = ()
+    _field = "name"
+    name = property(itemgetter(1))
 
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True, slots=True)
-class Null:
-    ordinal: int
+    def __new__(cls, name: str) -> "Variable":
+        return tuple.__new__(cls, (1, name))
 
     def __str__(self) -> str:
-        return f"_:n{self.ordinal}"
+        return self[1]
+
+
+class Null(_Term):
+    __slots__ = ()
+    _field = "ordinal"
+    ordinal = property(itemgetter(1))
+
+    def __new__(cls, ordinal: int) -> "Null":
+        return tuple.__new__(cls, (2, ordinal))
+
+    def __str__(self) -> str:
+        return f"_:n{self[1]}"
 
 
 Term = Union[Constant, Variable, Null]
@@ -52,45 +87,61 @@ def fresh_null() -> Null:
     return Null(next(_null_counter))
 
 
-_KIND_RANK = {Constant: 0, Variable: 1, Null: 2}
-
-
 def term_key(t: Term) -> tuple:
-    """Total order: constants < variables < nulls, then name/ordinal."""
-    if isinstance(t, Null):
-        return (2, t.ordinal)
-    return (_KIND_RANK[type(t)], t.name)
+    """Total order: constants < variables < nulls, then name/ordinal.
+
+    A term's own tuple order is this order; the key is the same pair as a
+    plain tuple, so that its ``repr`` names no term class."""
+    return tuple(t)
 
 
 def term_set_str(terms: Iterable[Term]) -> str:
     """``{a,b,_:n1}``: the terms in term_key order."""
-    return "{" + ",".join(str(t) for t in sorted(terms, key=term_key)) + "}"
+    return "{" + ",".join(map(str, sorted(terms))) + "}"
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    pred: str
-    args: tuple[Term, ...]
+class Atom(tuple):
+    """An atom, laid out as ``(pred, args)`` with ``args`` a tuple of terms."""
+
+    __slots__ = ()
+    pred = property(itemgetter(0))
+    args = property(itemgetter(1))
+
+    def __new__(cls, pred: str, args: tuple[Term, ...]) -> "Atom":
+        return tuple.__new__(cls, (pred, args))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Atom(pred={self[0]!r}, args={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"{self.pred}({','.join(str(a) for a in self.args)})"
+        return f"{self[0]}({','.join(map(str, self[1]))})"
 
     @property
     def arity(self) -> int:
-        return len(self.args)
+        return len(self[1])
 
     def terms(self) -> frozenset[Term]:
-        return frozenset(self.args)
+        return frozenset(self[1])
 
 
 def atom_key(a: Atom) -> tuple:
-    return (a.pred, len(a.args), tuple([  # term_key, inlined
-        (2, t.ordinal) if type(t) is Null else (_KIND_RANK[type(t)], t.name) for t in a.args]))
+    """Order by predicate, then arity, then arguments in term_key order, as
+    plain tuples.  An atom's own tuple order puts no arity first: it would
+    sort ``p(a,c)`` before ``p(b)``."""
+    return (a[0], len(a[1]), tuple(map(tuple, a[1])))
+
+
+def atom_list_str(atoms: Iterable[Atom]) -> str:
+    """``p(a), q(a,b)``: the atoms in atom_key order."""
+    return ", ".join(map(str, sorted(atoms, key=atom_key)))
 
 
 def atom_set_str(atoms: Iterable[Atom]) -> str:
     """``{p(a), q(a,b)}``: the atoms in atom_key order."""
-    return "{" + ", ".join(str(a) for a in sorted(atoms, key=atom_key)) + "}"
+    return "{" + atom_list_str(atoms) + "}"
 
 
 def terms_of(atoms: Iterable[Atom]) -> frozenset[Term]:
@@ -233,11 +284,11 @@ class Substitution:
         return "{" + ", ".join(f"{k}->{v}" for k, v in self.items()) + "}"
 
     def items(self) -> list[tuple[Term, Term]]:
-        return sorted(self.mapping.items(), key=lambda kv: term_key(kv[0]))
+        return sorted(self.mapping.items())  # keys are distinct: images never compared
 
     def key(self) -> tuple:
         """Canonical sort key: the mapping viewed as a sorted pair list."""
-        return tuple((term_key(k), term_key(v)) for k, v in self.items())
+        return tuple(sorted(self.mapping.items()))
 
     def restrict(self, domain: Iterable[Term]) -> "Substitution":
         dom = set(domain)
@@ -300,7 +351,7 @@ class Rule:
     @cached_property
     def sorted_existentials(self) -> tuple[Variable, ...]:
         """The existential variables in the order they receive fresh nulls."""
-        return tuple(sorted(self.existentials, key=term_key))
+        return tuple(sorted(self.existentials))
 
     @cached_property
     def sorted_frontier_atoms(self) -> tuple[Atom, ...]:
@@ -314,9 +365,7 @@ class Rule:
         return constants_of(self.body) | constants_of(self.head)
 
     def __str__(self) -> str:
-        body = ", ".join(str(a) for a in sorted(self.body, key=atom_key))
-        head = ", ".join(str(a) for a in sorted(self.head, key=atom_key))
-        return f"{self.rid}: {body} -> {head}."
+        return f"{self.rid}: {atom_list_str(self.body)} -> {atom_list_str(self.head)}."
 
 
 def frontier_atoms(r: Rule) -> frozenset[Atom]:

@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Union
 
 from .derivgraph import Arc, DerivationGraph
 from .errors import ResourceLimitError, SideConditionViolatedError
-from .model import Term, term_key
+from .model import Term
 
 DEFAULT_MAX_STATES = 10**5
 
@@ -84,7 +84,7 @@ class CrStep:
 
     def rewrite(self, arcs: dict[Arc, frozenset[Term]]) -> None:
         union = arcs.pop((self.i, self.k)) | arcs.pop((self.j, self.k))
-        arcs[(self.l, self.k)] = union  # overwrites any previous label on (l, k)
+        arcs[(self.l, self.k)] = arcs.get((self.l, self.k), frozenset()) | union
 
 
 ReductionStep = Union[ArStep, TrStep, CrStep]
@@ -119,7 +119,7 @@ def _point_moves(g: DerivationGraph, k: int) -> Iterator[Union[TrStep, CrStep]]:
             if i == j:
                 continue
             shared = arcs[(i, k)] & arcs[(j, k)]
-            for t in sorted(shared, key=term_key):
+            for t in sorted(shared):
                 yield TrStep(i, j, k, t)
     yield from _cr_moves(g, k)
 

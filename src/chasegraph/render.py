@@ -13,7 +13,7 @@ from .analysis import GreedinessReport, RuleDependencyGraph
 from .chase import Derivation
 from .classify import ClassificationVerdict, GroupWitness, Refutation
 from .derivgraph import DerivationGraph
-from .model import Instance, atom_set_str, term_key, term_set_str
+from .model import Instance, atom_set_str, term_set_str
 from .reduction import ArStep, CrStep, ReductionStep, ReductionTrace, TrStep
 from .treedecomp import TreeDecomposition
 
@@ -88,7 +88,7 @@ def graph_json(g: DerivationGraph) -> dict[str, Any]:
             {
                 "from": i,
                 "to": j,
-                "label": [str(t) for t in sorted(lbl, key=term_key)],
+                "label": [str(t) for t in sorted(lbl)],
             }
             for (i, j), lbl in sorted(g.arcs.items())
         ],

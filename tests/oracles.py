@@ -623,7 +623,7 @@ def apply_step_oracle(g, step):
         arcs[(step.j, step.k)] = arcs[(step.j, step.k)] - {step.t}
     else:
         union = arcs.pop((step.i, step.k)) | arcs.pop((step.j, step.k))
-        arcs[(step.l, step.k)] = union
+        arcs[(step.l, step.k)] = arcs.get((step.l, step.k), frozenset()) | union
     return DerivationGraph(g.facts, arcs)
 
 

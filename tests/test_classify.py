@@ -32,6 +32,7 @@ from chasegraph.model import Atom, BooleanQuery, Constant, Instance, KnowledgeBa
 from chasegraph.randkb import random_kb
 from chasegraph.reduction import reduce_graph
 from chasegraph.render import verdict_json
+from chasegraph.selfcheck import check_derivation
 
 from conftest import A, X, Y, Z, subprocess_env, trace_key
 from oracles import weak_classify_oracle
@@ -255,6 +256,32 @@ def test_weak_classes_search_past_the_shortest_length():
         verdict = classify(kb, cls, 4)
         assert verdict.result == REFUTED
         assert verdict.certificate.derivation.rule_ids() == ("a1", "c", "j")
+
+
+FOUR_PARENTS = """
+s(c).
+r0: s(X) -> g(Y,Z).
+ra: g(X,Y) -> a(X).
+rb: g(X,Y) -> b(Y).
+rl: g(X,Y) -> e(X,Y,Z).
+rm: g(X,Y) -> d(X,Y,W).
+rk: a(X), b(Y), e(X,Y,Z), d(X,Y,W) -> f(X,Y,Z,W).
+"""
+
+
+def test_cr_keeps_the_label_it_joins():
+    # in the graph of r0 ra rb rl rm rk, X6 has parents X2..X5 and no node
+    # holds all four nulls of its frontier; cr[2,3,6,4] used to overwrite the
+    # label of (X4,X6) and drop X4's null, which made the graph reducible
+    # (DECISIONS.md section 7)
+    kb = parse_document(FOUR_PARENTS).knowledge_base()
+    verdicts = {cls: classify(kb, cls, 6).result for cls in CLASSES}
+    assert verdicts == dict.fromkeys(CLASSES, REFUTED)
+    d = chase.Derivation(kb.database)
+    for rid in ("r0", "ra", "rb", "rl", "rm", "rk"):
+        r = kb.rule_by_id(rid)
+        d = d.extend(r, chase.triggers(d.final, r)[0])
+    assert check_derivation(d, kb) == (False, 0, [])
 
 
 @pytest.mark.parametrize("name,depth", [("longer-witness", 4), ("join", 3), ("join", 4),

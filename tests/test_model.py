@@ -1,6 +1,10 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from chasegraph.chase import DerivationStep, Trigger, derivation_key, enumerate_derivations
 from chasegraph.errors import UnboundVariableError
 from chasegraph.model import (
     Atom,
@@ -11,9 +15,13 @@ from chasegraph.model import (
     Rule,
     Substitution,
     Variable,
+    atom_key,
+    atom_list_str,
+    atom_set_str,
     fresh_null,
     frontier_atoms,
     term_key,
+    term_set_str,
 )
 
 from conftest import A, B, O, U, V, W, X, Y, Z
@@ -24,6 +32,70 @@ def test_term_kinds_are_disjoint_and_ordered():
     assert len({c, v, n}) == 3
     assert term_key(c) < term_key(v) < term_key(n)
     assert str(n) == "_:n1"
+    assert c != v and {c: 1}.get(v) is None and Atom("p", (c,)) != Atom("p", (v,))
+    assert Constant("1") != Null(1) != Variable("1")
+
+
+def test_terms_and_atoms_are_laid_out_as_tuples():
+    # a term equals the plain tuple of its fields, so no container may hold
+    # both key tuples and terms; the engine's key functions return plain
+    # tuples. json.dumps would print a term as a list: the pinned CLI and
+    # verdict digests (test_cli, test_classify) show that none reaches it
+    assert (Constant("a"), Variable("X"), Null(3)) == ((0, "a"), (1, "X"), (2, 3))
+    assert Atom("p", (A,)) == ("p", ((0, "a"),))
+    assert type(term_key(Null(3))) is tuple and term_key(Null(3)) == (2, 3)
+    assert atom_key(Atom("p", (A, Null(3)))) == ("p", 2, ((0, "a"), (2, 3)))
+    assert all(type(k) is tuple for k in atom_key(Atom("p", (A, Null(3))))[2])
+    assert len(X) == 2 and list(Null(3)) == [2, 3] and Atom("p", (A,)).arity == 1
+
+
+def test_atom_key_orders_by_arity_before_arguments():
+    short, long = Atom("p", (B,)), Atom("p", (A, Constant("c")))
+    assert sorted([long, short], key=atom_key) == [short, long]
+    assert sorted([short, long]) == [long, short]  # tuple order is not atom_key order
+    assert atom_set_str([long, short]) == "{p(b), p(a,c)}"
+    assert atom_list_str([long, short]) == "p(b), p(a,c)"
+
+
+def test_constructors_repr_and_str():
+    assert Null(ordinal=3) == Null(3) and Null(ordinal=3).ordinal == 3
+    assert Constant(name="a") == A and A.name == "a" and Variable(name="X").name == "X"
+    assert Atom(pred="p", args=(A, X)) == Atom("p", (A, X))
+    a = Atom("p", (A, X, Null(3)))
+    assert a.pred == "p" and a.args == (A, X, Null(3))
+    assert [repr(t) for t in a.args] == ["Constant(name='a')", "Variable(name='X')",
+                                         "Null(ordinal=3)"]
+    assert repr(a) == ("Atom(pred='p', args=(Constant(name='a'), Variable(name='X'), "
+                       "Null(ordinal=3)))")
+    assert str(a) == "p(a,X,_:n3)" and [str(t) for t in a.args] == ["a", "X", "_:n3"]
+    assert term_set_str([Null(10), Null(9), X, A]) == "{a,X,_:n9,_:n10}"
+
+
+def test_terms_and_atoms_survive_copy_and_pickle():
+    a = Atom("p", (A, X, Null(3)))
+    for t in (*a.args, a):
+        for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert twin == t and type(twin) is type(t) and repr(twin) == repr(t)
+
+
+def test_steps_and_triggers_are_named_tuples(join_kb):
+    d = next(d for d in enumerate_derivations(join_kb.database, join_kb.rules, 1) if len(d))
+    step = d.steps[0]
+    assert type(step) is DerivationStep and type(step.trigger) is Trigger
+    assert step == (step.rule, step.trigger, step.new_atoms)
+    assert step.trigger == (step.rule.rid, step.trigger.hom, step.trigger.extension)
+
+
+def test_derivation_keys_hold_only_plain_tuples_str_and_int(join_kb):
+    # repr(derivation_key(d)) is the benchmark's fingerprint and certificate
+    # digest: a term class in it would change every pinned digest
+    def plain(x) -> bool:
+        return type(x) in (str, int) or (type(x) is tuple and all(map(plain, x)))
+
+    keys = [derivation_key(d)
+            for d in enumerate_derivations(join_kb.database, join_kb.rules, 4)]
+    assert len(keys) == 336 and all(map(plain, keys))
+    assert all("name=" not in repr(k) and "ordinal=" not in repr(k) for k in keys)
 
 
 def test_fresh_nulls_are_unique():
@@ -127,6 +199,11 @@ atoms = st.builds(
     st.sampled_from("pqr"),
     st.lists(terms, min_size=1, max_size=3),
 )
+
+
+@given(st.lists(terms, max_size=12))
+def test_term_tuple_order_is_term_key_order(ts):
+    assert sorted(ts) == sorted(ts, key=term_key)
 
 
 @given(st.sets(atoms, max_size=6))

@@ -636,7 +636,7 @@ def test_the_walk_moves_only_from_reducible_random_graphs():
         for _ in range(300):
             reduce_graph(_random_graph(rng), "full")
     assert len(budgets) == 300
-    assert sum(b.used for b in budgets) == 1132
+    assert sum(b.used for b in budgets) == 1173
 
 
 def _candidate_steps(g: DerivationGraph) -> list:
