@@ -252,8 +252,9 @@ def _merge_triggers(old: list[tuple], r: Rule, body: list[Atom], delta: frozense
     found: dict[tuple, Substitution] = {}
     for i, b in enumerate(body):
         rest = body[:i] + body[i + 1:]
+        shape = (b.pred, len(b.args))
         for t in delta:
-            if (t.pred, t.arity) == (b.pred, b.arity) and (m := _match_atom(b, t, {})) is not None:
+            if (t.pred, len(t.args)) == shape and (m := _match_atom(b, t, {})) is not None:
                 found.update((h.key(), h) for h in _search(rest, index, m, None))
     if not found:
         return old

@@ -42,12 +42,10 @@ def _int_at_least(minimum: int):
 def _add_selection_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-len", type=_int_at_least(0), default=4,
                    help="enumeration length bound used to resolve derivation ids")
-    p.add_argument("--dedup", choices=["none", "mod-nulls"], default="none",
-                   help="accepted for compatibility; both modes list the same derivations")
 
 
-def _select_derivation(kb: KnowledgeBase, index: int, max_len: int, dedup: str) -> Derivation:
-    for i, d in enumerate(enumerate_derivations(kb.database, kb.rules, max_len, dedup=dedup)):
+def _select_derivation(kb: KnowledgeBase, index: int, max_len: int) -> Derivation:
+    for i, d in enumerate(enumerate_derivations(kb.database, kb.rules, max_len)):
         if i == index:
             return d
     raise EngineError(f"no derivation with id {index} (enumeration bound --max-len {max_len})")
@@ -77,7 +75,7 @@ def cmd_chase(args) -> int:
 
 def cmd_derivations(args) -> int:
     kb = _load(args.file).knowledge_base()
-    rows = list(enumerate_derivations(kb.database, kb.rules, args.max_len, dedup=args.dedup))
+    rows = list(enumerate_derivations(kb.database, kb.rules, args.max_len))
     if args.json:
         sys.stdout.write(render.dumps({"derivations": [render.derivation_json(d) for d in rows]}))
     else:
@@ -89,10 +87,10 @@ def cmd_derivations(args) -> int:
 def cmd_greedy_check(args) -> int:
     kb = _load(args.file).knowledge_base()
     if args.all:
-        targets = list(enumerate_derivations(kb.database, kb.rules, args.max_len, dedup=args.dedup))
+        targets = list(enumerate_derivations(kb.database, kb.rules, args.max_len))
         indices = range(len(targets))
     else:
-        targets = [_select_derivation(kb, args.derivation, args.max_len, args.dedup)]
+        targets = [_select_derivation(kb, args.derivation, args.max_len)]
         indices = [args.derivation]
     reports = [(i, d, is_greedy(d, kb)) for i, d in zip(indices, targets)]
     if args.json:
@@ -130,7 +128,7 @@ def cmd_grd(args) -> int:
 
 def cmd_graph(args) -> int:
     kb = _load(args.file).knowledge_base()
-    d = _select_derivation(kb, args.derivation, args.max_len, args.dedup)
+    d = _select_derivation(kb, args.derivation, args.max_len)
     g = build_derivation_graph(d, kb)
     dot = render.graph_to_dot(g)
     if args.dot:
@@ -149,7 +147,7 @@ def _reduce_selected(args, irreducible: str) -> tuple[Derivation, ReductionTrace
     under ``--json`` (``treedecomp`` only) either is one JSON object on
     stdout, with the tripped budget's name and limit."""
     kb = _load(args.file).knowledge_base()
-    d = _select_derivation(kb, args.derivation, args.max_len, args.dedup)
+    d = _select_derivation(kb, args.derivation, args.max_len)
     try:
         trace = reduce_graph(build_derivation_graph(d, kb), args.strategy)
     except ResourceLimitError as exc:

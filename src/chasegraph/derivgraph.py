@@ -119,7 +119,8 @@ class NodeFacts:
 
 
 class DerivationGraph:
-    """Decorated DAG over derivation steps; arcs always point forward.
+    """Decorated DAG over derivation steps; arcs always point forward, and
+    each arc's label lies inside its source's terms.
 
     Node facts are shared with every reduced copy; the parent index and
     the convergence points are computed once per graph from its own arcs,
@@ -131,16 +132,18 @@ class DerivationGraph:
 
     def __init__(self, facts: NodeFacts, arcs: dict[Arc, frozenset[Term]]):
         n = len(facts.at)
-        for (i, j) in sorted(arcs):
+        for (i, j), lbl in sorted(arcs.items()):
             if not 0 <= i < j < n:
                 raise ValueError(f"arc ({i},{j}) violates forward orientation")
+            if not lbl <= facts.terms[i]:
+                raise ValueError(f"label of ({i},{j}) escapes terms(X{i})")
         self._index(facts, dict(arcs))
 
     @classmethod
     def _of(cls, facts: NodeFacts, arcs: dict[Arc, frozenset[Term]]) -> "DerivationGraph":
-        """Take ownership of an arc map known to point forward, without
-        re-checking it: the reduction search builds every graph it visits
-        this way from a checked one."""
+        """Take ownership of an arc map without checking it: the one
+        unchecked constructor, used only by a test that forges a graph the
+        constructor rejects."""
         g = object.__new__(cls)
         g._index(facts, arcs)
         return g
@@ -231,15 +234,6 @@ class DerivationGraph:
                 unreached.append(missing)
             self._unreached = tuple(unreached)
         return self._unreached
-
-    def state_key(self) -> frozenset:
-        """Hashable encoding of the arc structure, for memoized search.
-
-        Two keys are equal exactly when the graphs have the same arcs with
-        the same labels.  Compare keys or test membership; never iterate
-        over one, since its order depends on the hash seed.
-        """
-        return frozenset(self.arcs.items())
 
     def __repr__(self) -> str:
         arcs = ", ".join(f"X{i}->X{j}:{term_set_str(lbl)}"

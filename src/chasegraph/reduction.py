@@ -9,10 +9,13 @@ Each operation is defined once: ``_moves`` yields exactly the steps that
 apply to a graph, and each step class rewrites the arcs itself.
 ``apply_step`` accepts a step iff ``_moves`` offers it (DECISIONS.md
 section 6), and both search strategies follow one path that differs only
-in the step each picks at a graph.  Every move reads and rewrites the arcs
-into one node only, so the full search decides reducibility one
-convergence point at a time and then merges the local traces it found,
-without backtracking (DECISIONS.md section 7).
+in the step each picks at a graph.  No move changes the union of the
+labels into a node or takes a label outside its source's terms, so a
+graph reduces iff each convergence point has an earlier node covering
+the labels into it, and no move turns a reducible graph into an
+irreducible one: the full search stops at once on a graph that does not
+reduce, and otherwise takes the first move offered and never backtracks
+(DECISIONS.md section 7).
 
 A graph counts as cycle-free when no node has two incoming arcs: every
 node keeps at most one parent, which makes the underlying undirected graph
@@ -205,8 +208,7 @@ class ReductionTrace:
 
 
 class _StateBudget:
-    """The states one ``reduce_graph`` call may visit, across its path and
-    every local decision it makes."""
+    """The states one ``reduce_graph`` call may visit on its path."""
 
     __slots__ = ("limit", "used")
 
@@ -221,56 +223,14 @@ class _StateBudget:
                                      budget="reduction-states", limit=self.limit)
 
 
-def _reduce(g: DerivationGraph, budget: _StateBudget) -> ReductionTrace | None:
-    """Exhaustive depth-first search over the reduction sequences
-    ``_moves`` offers, memoized on graph state.
-
-    Every operation strictly shrinks (arc count, total label size)
-    lexicographically, so the state space is a finite DAG and plain DFS with
-    a visited set is complete.  Each state visited spends one unit of
-    ``budget``; running out raises instead of reporting irreducibility.  The
-    search keeps an explicit stack, one move iterator per graph on the
-    current path, so its depth is not bounded by the interpreter's recursion
-    limit.  Moves come from ``_moves`` itself, so they are applied without
-    re-checking their side conditions.
-    """
-    seen: set[frozenset] = set()
-    steps: list[ReductionStep] = []
-    graphs = [g]
-    pending: list[Iterator[ReductionStep]] = []  # pending[d] = moves left at graphs[d]
-    while True:
-        cur = graphs[-1]
-        if is_cycle_free(cur):
-            return ReductionTrace(g, tuple(steps), tuple(graphs))
-        if (key := cur.state_key()) in seen:
-            steps.pop()  # only a step can reach a seen state; the root is new
-            graphs.pop()
-        else:
-            seen.add(key)
-            budget.spend()
-            pending.append(_moves(cur))
-        while pending:
-            step = next(pending[-1], None)
-            if step is not None:
-                break
-            pending.pop()
-            if steps:
-                steps.pop()
-                graphs.pop()
-        else:
-            return None
-        steps.append(step)
-        graphs.append(_successor(graphs[-1], step))
-
-
 def _path(g: DerivationGraph, budget: _StateBudget,
           pick: Callable[[DerivationGraph], ReductionStep | None]) -> ReductionTrace | None:
     """Follow ``pick`` from ``g`` while the graph has a convergence point,
     spending one unit of ``budget`` at each such graph; None as soon as
-    ``pick`` gives no step.  Every move strictly shrinks (arc count, total
-    label size), so the path never meets a graph twice (DECISIONS.md
-    section 6).  Picks are applied without re-checking their side
-    conditions."""
+    ``pick`` gives no step.  Every move strictly shrinks the arc count plus
+    the total label size, so the path never meets a graph twice and takes
+    at most that many steps (DECISIONS.md sections 6 and 7).  Picks are
+    applied without re-checking their side conditions."""
     steps: list[ReductionStep] = []
     graphs = [g]
     while not is_cycle_free(graphs[-1]):
@@ -290,34 +250,22 @@ def _cr_pick(h: DerivationGraph) -> CrStep | None:
     return min(_cr_moves(h, h.convergence_points()[0]), key=attrgetter("l"), default=None)
 
 
-def _full(g: DerivationGraph, budget: _StateBudget) -> ReductionTrace | None:
-    """Decide each convergence point of ``g`` alone, in index order, by the
-    exhaustive search over the arcs into it; then follow, at each graph,
-    the first move of ``_moves`` that is a point's next local step or an
-    ar at a node with one parent.  That path is the exhaustive search's
-    first trace (DECISIONS.md section 7).  After an irreducible point,
-    only the root is visited."""
-    local: dict[int, list[ReductionStep]] = {}  # point -> its local steps left, next last
-    for k in g.convergence_points():
-        into = {(i, k): g.arcs[(i, k)] for i in g.parents(k)}
-        trace = _reduce(DerivationGraph._of(g.facts, into), budget)
-        if trace is None:
-            return _path(g, budget, lambda h: None)
-        local[k] = list(reversed(trace.steps))
-
-    def pick(h: DerivationGraph) -> ReductionStep:
-        ars = [ArStep(i, j) for (i, j), lbl in h.arcs.items() if not lbl and h.in_degree(j) == 1]
-        # the first candidate in _moves order: ar moves by arc, then one tr or cr per point
-        step = min(ars + [steps[-1] for steps in local.values() if steps],
-                   key=lambda s: (0, s.i, s.j) if type(s) is ArStep else (1, s.node))
-        if h.in_degree(step.node) > 1:  # a point's next local step
-            local[step.node].pop()
-        return step
-
-    return _path(g, budget, pick)
+def _full_pick(h: DerivationGraph) -> ReductionStep | None:
+    """The full step: None when some convergence point k has no earlier
+    node whose terms cover the union of the labels into k, else the first
+    move ``_moves`` offers.  No move changes that union, so such a graph
+    never reduces; on any other graph every point keeps a cycle removal,
+    and no move leads to a graph that does not reduce (DECISIONS.md
+    section 7)."""
+    arcs, terms = h.arcs, h.facts.terms
+    for k in h.convergence_points():
+        into = frozenset().union(*[arcs[(i, k)] for i in h.parents(k)])
+        if not any(into <= terms[l] for l in range(k)):
+            return None
+    return next(_moves(h))
 
 
-_STRATEGIES = {"cr-only": lambda g, budget: _path(g, budget, _cr_pick), "full": _full}
+_STRATEGIES = {"cr-only": _cr_pick, "full": _full_pick}
 
 
 def reduce_graph(
@@ -328,19 +276,22 @@ def reduce_graph(
     """Search for a complete reduction sequence; None means none exists.
 
     ``cr-only`` greedily removes the earliest convergence point with the
-    smallest admissible witness node.  ``full`` explores all three
-    operations and is the ground truth for reducibility: it first decides
-    each convergence point on its own, then merges the local traces it
-    found, so it returns the first trace of the exhaustive depth-first
-    search without backtracking, and stops at the root of an irreducible
-    graph.  ``max_states`` bounds the distinct states visited by the path
-    and, for ``full``, by the per-point decisions together; both
-    strategies raise ResourceLimitError rather than misreporting when
-    capped.  A cr-only run visits at most one state per arc, plus one.
+    smallest admissible witness node.  ``full`` is the ground truth for
+    reducibility: it returns None at the root of a graph where some
+    convergence point has no earlier node covering the labels into it,
+    and otherwise takes the first move ``_moves`` offers at each graph.
+    No move turns a reducible graph into an irreducible one, so that path
+    is the first trace of the exhaustive depth-first search (DECISIONS.md
+    section 7).  Both strategies spend one unit of ``max_states`` per
+    graph on their path that has a convergence point, and raise
+    ResourceLimitError rather than misreporting when capped.  A cr-only
+    run visits at most one state per arc, plus one; a full run visits one
+    state on an irreducible graph, and otherwise at most one per arc and
+    per label term.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _STRATEGIES[strategy](g, _StateBudget(max_states))
+    return _path(g, _StateBudget(max_states), _STRATEGIES[strategy])
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,7 @@ def test_chase_depth_one(join_file, capsys):
 
 
 def test_derivations_listing(join_file, capsys):
-    assert main(["derivations", join_file, "--max-len", "1", "--dedup", "mod-nulls"]) == 0
+    assert main(["derivations", join_file, "--max-len", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("0: len=0")
@@ -454,7 +454,7 @@ def test_console_entry_point_subprocess(join_file):
 
 def test_derivation_ids_stable_across_processes(chain_file):
     def run():
-        return _run_cli("derivations", chain_file, "--max-len", "3", "--dedup", "mod-nulls").stdout
+        return _run_cli("derivations", chain_file, "--max-len", "3").stdout
 
     first = run()
     assert first.startswith("0: len=0")

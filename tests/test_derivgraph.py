@@ -84,6 +84,9 @@ def test_constructor_rejects_arcs_that_do_not_point_forward(chain_kb, chain_deri
     for bad in ((3, 1), (2, 2), (4, 5), (-1, 2)):
         with pytest.raises(ValueError, match="violates forward orientation"):
             DerivationGraph(g.facts, {**g.arcs, bad: frozenset()})
+    # terms(X1) holds z0 but not z1, which (X2, X3) carries
+    with pytest.raises(ValueError, match=r"^label of \(1,3\) escapes terms\(X1\)$"):
+        DerivationGraph(g.facts, {**g.arcs, (1, 3): g.arcs[(2, 3)]})
 
 
 def test_generative_nodes(chain_kb, chain_derivation):

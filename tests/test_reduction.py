@@ -66,7 +66,6 @@ from oracles import (
     reduce_cr_only_oracle,
     reduce_full_oracle,
     side_condition_oracle,
-    state_key_oracle,
     validate_tree_decomposition_oracle,
 )
 
@@ -205,12 +204,11 @@ def test_greedy_iff_reducible_exhaustive_on_join_kb(join_kb):
 
 
 def test_reduce_full_state_cap(golden, join_kb, nongreedy_join_derivation):
-    # the nongreedy join graph: deciding its one convergence point X4 visits
-    # one state (no move applies there), then the search visits the dead
-    # root; the golden graph: deciding X3 visits two states and X4 one, and
-    # the search visits the four graphs of its trace before the last
+    # the nongreedy join graph: no earlier node covers the labels into X4,
+    # so the path stops at the root; the golden graph: the path visits the
+    # four graphs of its trace before the last
     nongreedy = build_derivation_graph(nongreedy_join_derivation, join_kb)
-    for g, n, complete in ((nongreedy, 2, False), (golden[0], 7, True)):
+    for g, n, complete in ((nongreedy, 1, False), (golden[0], 4, True)):
         assert (reduce_graph(g, "full", max_states=n) is not None) == complete
         with pytest.raises(ResourceLimitError,
                            match=f"^reduction search exceeded {n - 1} states$") as exc:
@@ -220,9 +218,7 @@ def test_reduce_full_state_cap(golden, join_kb, nongreedy_join_derivation):
 
 def test_irreducible_graphs_are_decided_without_exhaustive_search():
     # on every irreducible graph of a maximal chain d5 derivation, the full
-    # search fits a budget of one walk state (the root) plus the states of
-    # its local decisions: those of each convergence point in order, up to
-    # the first one that cannot be reduced alone
+    # path stops at the root, where an exhaustive search visits more states
     kb = parse_document((SAMPLES / "chain.rules").read_text()).knowledge_base()
     irreducible = 0
     for d in enumerate_derivations(kb.database, kb.rules, 5):
@@ -232,42 +228,10 @@ def test_irreducible_graphs_are_decided_without_exhaustive_search():
         old, states = reduce_full_oracle(g)
         if old is not None:
             continue
-        local = 0
-        for k in (k for k in g.nodes if in_degree_oracle(g, k) > 1):
-            into = {(i, k): g.arcs[(i, k)] for i in parents_oracle(g, k)}
-            trace, n = reduce_full_oracle(DerivationGraph(g.facts, into))
-            local += n
-            if trace is None:
-                break
-        assert reduce_graph(g, "full", max_states=1 + local) is None
-        assert states > 1 + local  # an exhaustive search would not fit
+        assert states > 1
+        assert reduce_graph(g, "full", max_states=1) is None
         irreducible += 1
     assert irreducible > 0
-
-
-def test_only_the_local_decisions_keep_a_visited_set(monkeypatch):
-    # cr-only and the walk offer at most one move per graph, so they never
-    # meet a graph twice and key no state (DECISIONS.md section 7); only the
-    # per-point decisions do, and their graphs hold the arcs into one node
-    kb = parse_document((SAMPLES / "chain.rules").read_text()).knowledge_base()
-    keyed = []
-    real = DerivationGraph.state_key
-
-    def state_key(self):
-        keyed.append({j for _, j in self.arcs})
-        return real(self)
-
-    monkeypatch.setattr(DerivationGraph, "state_key", state_key)
-    walks = 0
-    for d in enumerate_derivations(kb.database, kb.rules, 5):
-        g = build_derivation_graph(d, kb)
-        keyed.clear()
-        reduce_graph(g, "cr-only")
-        assert keyed == []
-        full = reduce_graph(g, "full")
-        assert all(len(targets) <= 1 for targets in keyed)
-        walks += full is not None and len(full.steps) > 1 and len({j for _, j in g.arcs}) > 1
-    assert walks > 0
 
 
 def test_cr_only_runs_under_the_same_state_budget(golden):
@@ -367,7 +331,8 @@ def _hand_facts(nulls_at, frontiers):
 
 
 def test_prefix_invariants_on_a_hand_built_trace_with_escaping_labels():
-    # (3,4) and (0,1) escape their sources' terms from the start and come
+    # (3,4) and (0,1) escape their sources' terms from the start, so the
+    # root is forged past the constructor's check, and they come
     # in the arc dict in the opposite of sorted order; X1's frontier {x3}
     # is covered by no earlier node.  Each cr writes (0,4) anew at the end
     # of the arc dict; the second also drops the escaping (3,4).
@@ -375,7 +340,7 @@ def test_prefix_invariants_on_a_hand_built_trace_with_escaping_labels():
         [{0, 1}, {1}, {0, 1}, {2}, {0, 1}],
         [(), (3,), (0,), (2,), (0, 1)],
     )
-    g = DerivationGraph(facts, {
+    g = DerivationGraph._of(facts, {
         (3, 4): frozenset({x[0]}),
         (0, 4): frozenset({x[0]}),
         (1, 4): frozenset({x[1]}),
@@ -552,34 +517,16 @@ def test_reductions_and_graph_checks_match_the_oracles():
     assert verdicts["root out of range", True] == 0
 
 
-def test_state_keys_agree_with_the_sorted_tuple_keys():
-    equal_pairs = 0
-    for kb, d in _parity_derivations()[::7]:
-        pool = [build_derivation_graph(d, kb)]
-        for strategy in ("cr-only", "full"):
-            trace = reduce_graph(pool[0], strategy)
-            pool += list(trace.graphs) if trace else []
-        pool.append(build_derivation_graph(d, kb))
-        for a in pool:
-            for b in pool:
-                same = state_key_oracle(a) == state_key_oracle(b)
-                assert (a.state_key() == b.state_key()) == same
-                equal_pairs += same and a is not b
-    assert equal_pairs > 0
-
-
 def _random_graph(rng: random.Random) -> DerivationGraph:
     """A small graph with random decorations, frontiers, arcs and labels over
-    four nulls; the labels need not respect the decorations, so the checks
-    meet failures and the exhaustive search meets dead ends that the full
-    search's walk must not enter."""
+    four nulls.  Each label is drawn from its source's terms, as the
+    constructor requires, but the frontiers need not match the labels, so
+    the checks meet failures."""
     nulls = [Null(900_000 + i) for i in range(4)]
     fr_vars = [Variable(f"F{i}") for i in range(4)]
     n = rng.randint(3, 5)
-    at = tuple(
-        frozenset(Atom("p", (t,)) for t in rng.sample(nulls, rng.randint(0, 3)))
-        for _ in range(n)
-    )
+    holds = [rng.sample(nulls, rng.randint(0, 3)) for _ in range(n)]
+    at = tuple(frozenset(Atom("p", (t,)) for t in held) for held in holds)
     provenance = [None]
     for k in range(1, n):
         picked = rng.sample(range(4), rng.randint(1, 2))
@@ -588,7 +535,7 @@ def _random_graph(rng: random.Random) -> DerivationGraph:
         sub = Substitution({v: rng.choice(nulls) for v in vs})
         provenance.append((r, Trigger(r.rid, sub, sub)))
     arcs = {
-        (i, j): frozenset(rng.sample(nulls, rng.randint(0, 2)))
+        (i, j): frozenset(rng.sample(holds[i], min(rng.randint(0, 2), len(holds[i]))))
         for j in range(n) for i in range(j) if rng.random() < 0.6
     }
     return DerivationGraph(NodeFacts.of(at, frozenset(), tuple(provenance)), arcs)
@@ -602,27 +549,27 @@ def test_reductions_and_checks_match_the_oracles_on_random_graphs():
     for _ in range(300):
         g = _random_graph(rng)
         cr_only, full, states = _reductions_match_the_oracles(g)
-        answers |= _reducibility_matches_the_oracle(
+        successors = _reducibility_matches_the_oracle(
             [apply_step_oracle(g, step) for step in moves_oracle(g)])
+        assert successors <= {full is not None}  # no move changes reducibility
+        answers |= successors
         verdicts += _checks_match_the_oracles(
             g, (cr_only, full), Instance(frozenset().union(*g.at)), kb)
         backtracked += full is not None and states > len(full.steps)
         trees = max((sum(1 for n in t.final.nodes if not in_degree_oracle(t.final, n))
                      for t in (cr_only, full) if t is not None), default=0)
         forests += trees >= 3
-    assert backtracked > 0  # graphs where the oracle backtracks and the search does not
-    assert answers == {True, False}  # successors of a root are met live and dead
+    assert backtracked == 0  # the oracle's first trace is the first-move path
+    assert answers == {True, False}  # successors of roots are met live and dead
     assert forests > 0  # reduced graphs of three or more trees are extracted
     assert verdicts["leaves swapped", False] > 0 and verdicts["extracted", False] > 0
 
 
 def test_the_walk_moves_only_from_reducible_random_graphs():
-    # the walk never enters a dead successor, which an exhaustive search of
-    # these graphs does: `_path` follows one step per graph and an
-    # irreducible point stops it at the root, so it moves only from
-    # reducible graphs by construction. The state total, which counts the
-    # walk and the per-point decisions of all 300 calls, pins that no state
-    # is spent beyond them.
+    # `_path` spends one state per graph it visits that has a convergence
+    # point: every graph of a complete trace but the last, and only the
+    # root of an irreducible graph, where the pick gives no step.  The
+    # state total of all 300 calls pins that no state is spent beyond them.
     rng = random.Random(4014)
     budgets = []
 
@@ -634,9 +581,12 @@ def test_the_walk_moves_only_from_reducible_random_graphs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "_StateBudget", Counted)
         for _ in range(300):
-            reduce_graph(_random_graph(rng), "full")
+            g = _random_graph(rng)
+            trace = reduce_graph(g, "full")
+            assert budgets[-1].used == (len(trace.steps) if trace else 1)
+            assert budgets[-1].used <= len(g.arcs) + sum(map(len, g.arcs.values()))
     assert len(budgets) == 300
-    assert sum(b.used for b in budgets) == 1173
+    assert sum(b.used for b in budgets) == 487
 
 
 def _candidate_steps(g: DerivationGraph) -> list:
