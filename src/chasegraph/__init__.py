@@ -61,7 +61,6 @@ from .model import (
     Rule,
     Substitution,
     Variable,
-    fresh_null,
     frontier_atoms,
 )
 from .reduction import (

@@ -175,7 +175,7 @@ def is_greedy(d: Derivation, kb: KnowledgeBase) -> GreedinessReport:
     base also holds, change no step's remainder.
     """
     base = kb.constants | d.initial.terms()
-    step_nulls = [nulls_of(d.new_atoms(i)) for i in range(1, len(d) + 1)]
+    step_nulls = [nulls_of(step.new_atoms) for step in d.steps]
 
     witnesses: dict[int, int] = {}
     violations: list[tuple[int, frozenset[Term]]] = []

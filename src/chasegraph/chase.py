@@ -3,11 +3,11 @@
 A trigger is a homomorphism from a rule body into the current instance.
 Applying it extends the instance with the head image: the head template
 (the head with the match applied and the existential variables left in
-place) with each existential variable sent to a fresh null.  Derivations
-record the whole history (trigger, extension and added atoms per step) so
-that greediness analysis and derivation graphs can be computed after the
-fact; each intermediate instance is the initial one plus the atoms of
-earlier steps.
+place) with each existential variable sent to a fresh null of the run
+(DECISIONS.md section 12).  Derivations record the whole history (trigger,
+extension and added atoms per step) so that greediness analysis and
+derivation graphs can be computed after the fact; each intermediate
+instance is the initial one plus the atoms of earlier steps.
 
 The one-step operator applies *all* triggers of *all* rules in parallel
 with pairwise-distinct fresh nulls; iterating it k times gives the k-level
@@ -24,6 +24,7 @@ order of a full recompute.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -38,7 +39,6 @@ from .model import (
     Rule,
     Substitution,
     atom_key,
-    fresh_null,
     nulls_of,
     term_key,
     terms_of,
@@ -85,18 +85,26 @@ class Derivation:
         return self.instance_at(len(self.steps))
 
     def instance_at(self, i: int) -> Instance:
-        """The instance after step i (i = 0 gives the initial instance)."""
+        """The instance after step i, 0 <= i <= len(self); I0 is the initial one."""
+        if not 0 <= i <= len(self.steps):
+            raise IndexError(f"no instance I{i} in a derivation of length {len(self.steps)}")
         if i == 0:
             return self.initial
         return Instance._of(self.initial.atoms.union(*(s.new_atoms for s in self.steps[:i])))
 
     def new_atoms(self, i: int) -> frozenset[Atom]:
-        """Atoms introduced by step i (1-based)."""
+        """Atoms introduced by step i, 1 <= i <= len(self)."""
+        if not 1 <= i <= len(self.steps):
+            raise IndexError(f"no step {i} in a derivation of length {len(self.steps)}")
         return self.steps[i - 1].new_atoms
 
     def extend(self, r: Rule, hom: Substitution) -> "Derivation":
-        return Derivation(self.initial,
-                          self.steps + (_step(self.final, r, hom.restrict(r.body_vars)),))
+        """One more step, a run of its own: body match ``hom`` is checked in
+        O(|body|) against the final instance, whose nulls the new ones follow."""
+        prev, hom = self.final, hom.restrict(r.body_vars)
+        _check(prev.atoms, r, hom)
+        step = _apply(prev.atoms, r, hom, _template(r, hom), _nulls_after(prev))
+        return Derivation(self.initial, self.steps + (step,))
 
     def rule_ids(self) -> tuple[str, ...]:
         return tuple(s.rule.rid for s in self.steps)
@@ -134,11 +142,11 @@ def triggers(instance: Instance, r: Rule) -> list[Substitution]:
 def apply_rule(instance: Instance, r: Rule, hom: Substitution) -> tuple[Instance, Trigger]:
     """One rule application: I plus the head image under the extended match.
 
-    The extension sends each existential variable to a fresh null; the
-    returned trigger records it so the step can be replayed or audited.
+    The extension sends each existential variable to a null past I's own;
+    the returned trigger records it so the step can be replayed or audited.
     """
-    step = _step(instance, r, hom.restrict(r.body_vars))
-    return Instance._of(instance.atoms | step.new_atoms), step.trigger
+    d = Derivation(instance).extend(r, hom)
+    return d.final, d.steps[0].trigger
 
 
 def _check(atoms: frozenset[Atom], r: Rule, hom: Substitution) -> None:
@@ -158,30 +166,29 @@ def _template(r: Rule, hom: Substitution) -> frozenset[Atom]:
     return _image(r.head, hom.mapping)
 
 
+def _nulls_after(instance: Instance) -> Iterator[int]:
+    """The null ordinals of a run from ``instance`` (DECISIONS.md section 12)."""
+    return itertools.count(max((n.ordinal for n in instance.nulls()), default=0) + 1)
+
+
 def _apply(atoms: frozenset[Atom], r: Rule, hom: Substitution,
-           template: frozenset[Atom]) -> DerivationStep:
-    """The step applying a checked match to the instance ``atoms``: a fresh
-    null per existential, in sorted variable order, fills the template."""
+           template: frozenset[Atom], nulls: Iterator[int]) -> DerivationStep:
+    """The step applying a checked match to the instance ``atoms``: the next
+    ordinals of ``nulls``, one per existential in sorted order, fill the template."""
     ext, head = hom, template
     if r.sorted_existentials:
-        fresh = {z: fresh_null() for z in r.sorted_existentials}
+        fresh = {z: Null(next(nulls)) for z in r.sorted_existentials}
         ext, head = Substitution._of(hom.mapping | fresh), _image(template, fresh)
     return DerivationStep(r, Trigger(r.rid, hom, ext), head - atoms)
 
 
-def _step(prev: Instance, r: Rule, hom: Substitution) -> DerivationStep:
-    """The step applying body match ``hom`` to prev.  Checks cost
-    O(|body| + |head|), so prev is never rescanned."""
-    _check(prev.atoms, r, hom)
-    return _apply(prev.atoms, r, hom, _template(r, hom))
-
-
 def one_step(instance: Instance, rules: Sequence[Rule]) -> Instance:
-    """Parallel application of every trigger of every rule, fresh nulls distinct."""
+    """Parallel application of every trigger of every rule, as one run."""
     added: set[Atom] = set()
+    nulls = _nulls_after(instance)
     for r in rules:
         for hom in triggers(instance, r):
-            added |= _apply(instance.atoms, r, hom, _template(r, hom)).new_atoms
+            added |= _apply(instance.atoms, r, hom, _template(r, hom), nulls).new_atoms
     return instance | added
 
 
@@ -193,8 +200,8 @@ def chase_levels(
 ) -> list[Instance]:
     """The saturation chain [db, Ch1(db), ..., Chk(db)] of one run.
 
-    Within one run each level contains the previous; across runs the fresh
-    nulls differ, so monotonicity only makes sense level-to-level here.
+    Each level contains the previous, and its fresh nulls are numbered on
+    from the highest null of the level before.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -291,6 +298,7 @@ def enumerate_derivations(
     if dedup not in ("none", "mod-nulls", "traces"):
         raise ValueError(f"unknown dedup mode {dedup!r}")
     bodies = [sorted(r.body, key=atom_key) for r in rules]
+    nulls = _nulls_after(db)
 
     def frame(d: Derivation, delta: frozenset[Atom], index: dict, lists: list,
               sleep: dict | None) -> tuple:
@@ -322,7 +330,7 @@ def enumerate_derivations(
         else:
             d, index, lists, _, sleep = stack[-1]
             ident, r, h, t = nxt
-            step = _apply(d.final.atoms, r, h, t)
+            step = _apply(d.final.atoms, r, h, t, nulls)
             asleep = None
             if sleep is not None and len(d) + 1 < max_len:  # a leaf child opens no frame
                 asleep = {s: n for s, n in sleep.items() if n.isdisjoint(step.new_atoms)}

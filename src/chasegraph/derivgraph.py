@@ -257,7 +257,7 @@ def build_derivation_graph(d: Derivation, kb: KnowledgeBase) -> DerivationGraph:
     arcs: dict[Arc, frozenset[Term]] = {}
 
     for j, step in enumerate(d.steps, start=1):
-        new = d.new_atoms(j)
+        new = step.new_atoms
         at.append(new)
         provenance.append((step.rule, step.trigger))
         hom = step.trigger.hom

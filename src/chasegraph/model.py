@@ -2,24 +2,22 @@
 
 Terms come in three disjoint kinds, each a ``tuple`` subclass laid out as
 ``(kind, name|ordinal)``: a constant is ``(0, name)``, a variable
-``(1, name)`` and a null ``(2, ordinal)``, with the ordinal a globally unique
-creation number handed out by :func:`fresh_null`.  An atom is the tuple
-``(pred, args)``.  So hashing, equality and order run in C, and a term's
-tuple order is the engine's term order: constants, variables, nulls, then
-by name or ordinal.  A term equals the plain tuple of its fields, so no
-container may hold both.  ``term_key`` and ``atom_key`` return plain tuples:
+``(1, name)`` and a null ``(2, ordinal)``; ``chase`` numbers the nulls of
+each run (DECISIONS.md section 12).  An atom is the tuple ``(pred, args)``.
+So hashing, equality and order run in C, and a term's tuple order is the
+engine's term order: constants, variables, nulls, then by name or ordinal.
+A term equals the plain tuple of its fields, so no container may hold both.
+``term_key`` and ``atom_key`` return plain tuples:
 ``repr(chase.derivation_key(d))`` pins derivation ids and certificates and
 must name no term class, and ``atom_key`` sorts by arity before arguments,
 which an atom's own tuple order does not.
 
 Every value here is immutable and hashable, so instances and rules can be
-shared freely between threads; the null ordinal counter is the only mutable
-global and ``itertools.count`` makes it atomic under CPython.
+shared freely between threads.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -78,14 +76,6 @@ class Null(_Term):
 
 
 Term = Union[Constant, Variable, Null]
-
-_null_counter = itertools.count(1)
-
-
-def fresh_null() -> Null:
-    """Return a null no previous call has returned in this session."""
-    return Null(next(_null_counter))
-
 
 def term_key(t: Term) -> tuple:
     """Total order: constants < variables < nulls, then name/ordinal.

@@ -194,9 +194,11 @@ class ReductionTrace:
         return is_cycle_free(self.final)
 
     def replay(self) -> None:
-        """Re-apply the steps and verify each recorded intermediate: its
-        arcs and labels, and that it shares the initial graph's node facts."""
+        """Re-apply the steps and verify one recorded graph per step: its arcs
+        and labels, and that it shares the initial graph's node facts."""
         g = self.initial
+        if len(self.graphs) != len(self.steps) + 1:
+            raise ValueError(f"trace has {len(self.graphs)} graphs for {len(self.steps)} steps")
         if any(h.facts is not g.facts for h in self.graphs):
             raise ValueError("trace graphs do not share the initial graph's node facts")
         if self.graphs[0].arcs != g.arcs:
@@ -250,22 +252,18 @@ def _cr_pick(h: DerivationGraph) -> CrStep | None:
     return min(_cr_moves(h, h.convergence_points()[0]), key=attrgetter("l"), default=None)
 
 
-def _full_pick(h: DerivationGraph) -> ReductionStep | None:
-    """The full step: None when some convergence point k has no earlier
-    node whose terms cover the union of the labels into k, else the first
-    move ``_moves`` offers.  No move changes that union, so such a graph
-    never reduces; on any other graph every point keeps a cycle removal,
-    and no move leads to a graph that does not reduce (DECISIONS.md
-    section 7)."""
-    arcs, terms = h.arcs, h.facts.terms
-    for k in h.convergence_points():
-        into = frozenset().union(*[arcs[(i, k)] for i in h.parents(k)])
+def _reducible(g: DerivationGraph) -> bool:
+    """Whether each convergence point k has an earlier node whose terms
+    cover the union of the labels into k: iff g reduces (DECISIONS.md section 7)."""
+    arcs, terms = g.arcs, g.facts.terms
+    for k in g.convergence_points():
+        into = frozenset().union(*[arcs[(i, k)] for i in g.parents(k)])
         if not any(into <= terms[l] for l in range(k)):
-            return None
-    return next(_moves(h))
+            return False
+    return True
 
 
-_STRATEGIES = {"cr-only": _cr_pick, "full": _full_pick}
+_STRATEGIES = {"cr-only": _cr_pick, "full": lambda h: next(_moves(h))}
 
 
 def reduce_graph(
@@ -291,6 +289,9 @@ def reduce_graph(
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "full" and not _reducible(g):
+        _StateBudget(max_states).spend()  # the one state an irreducible graph costs
+        return None
     return _path(g, _StateBudget(max_states), _STRATEGIES[strategy])
 
 

@@ -37,7 +37,7 @@ def test_triggers_on_database(join_kb):
     assert triggers(db, join_kb.rule_by_id("r3")) == [Substitution({X: A, Y: B})]
 
 
-def test_apply_rule_creates_fresh_nulls(join_kb):
+def test_apply_rule_creates_new_nulls(join_kb):
     db = join_kb.database
     result, trig = apply_rule(db, join_kb.rule_by_id("r1"), Substitution({X: A}))
     new = result - db
@@ -48,7 +48,7 @@ def test_apply_rule_creates_fresh_nulls(join_kb):
     assert trig.hom == Substitution({X: A})
 
 
-def test_fresh_nulls_follow_sorted_existential_order():
+def test_new_nulls_follow_sorted_existential_order():
     # derivation ids depend on it: triggers are ordered by their images' ordinals
     w = Variable("W")
     r = Rule("r", frozenset({Atom("p", (X,))}), frozenset({Atom("q", (X, Z, w, Y))}))
@@ -56,6 +56,55 @@ def test_fresh_nulls_follow_sorted_existential_order():
     ext = trig.extension
     assert ext[w].ordinal < ext[Y].ordinal < ext[Z].ordinal
     assert ext.restrict({X}) == trig.hom
+
+
+def test_an_enumeration_numbers_its_nulls_in_dfs_order(join_kb):
+    # one run draws each ordinal once, from 1 over a ground database, in the
+    # order it applies triggers, which is the order it yields derivations
+    for _ in range(2):
+        drawn = [d.steps[-1].trigger.extension[z]
+                 for d in enumerate_derivations(join_kb.database, join_kb.rules, 3) if d.steps
+                 for z in d.steps[-1].rule.sorted_existentials]
+        assert drawn == [Null(k) for k in range(1, len(drawn) + 1)]
+
+
+def test_a_run_numbers_its_nulls_on_from_its_instance(join_kb):
+    start = Instance({Atom("p", (A,)), Atom("r", (Null(7),))})
+    d = list(enumerate_derivations(start, join_kb.rules, 1))[1]
+    for final in (d.final, one_step(start, join_kb.rules)):
+        assert min(final.nulls() - start.nulls()) == Null(8)
+
+
+def test_apply_rule_and_extend_number_on_from_their_instance(join_kb):
+    r1, fire = join_kb.rule_by_id("r1"), Substitution({X: A})
+    for d in enumerate_derivations(join_kb.database, join_kb.rules, 3):
+        top = max((n.ordinal for n in d.final.nulls()), default=0)
+        result, trig = apply_rule(d.final, r1, fire)
+        assert sorted(result.nulls() - d.final.nulls()) == [Null(top + 1), Null(top + 2)]
+        longer = d.extend(r1, fire)
+        longer.validate()  # no new null occurs earlier
+        assert longer.final == result and longer.steps[-1].trigger == trig
+
+
+def test_two_chase_runs_give_equal_instances(join_kb, chain_kb):
+    for kb in (join_kb, chain_kb):
+        assert chase_k(kb.database, kb.rules, 3) == chase_k(kb.database, kb.rules, 3)
+        levels = chase_levels(kb.database, kb.rules, 3)
+        for before, after in zip(levels, levels[1:]):
+            top = max((n.ordinal for n in before.nulls()), default=0)
+            assert min(after.nulls() - before.nulls()).ordinal == top + 1
+
+
+def test_indices_outside_the_derivation_are_rejected(nongreedy_join_derivation):
+    d = nongreedy_join_derivation
+    assert d.instance_at(0) is d.initial and d.instance_at(len(d)) == d.final
+    assert d.new_atoms(1) == d.steps[0].new_atoms and d.new_atoms(4) == d.steps[3].new_atoms
+    for i in (0, -1, 5, 99):
+        with pytest.raises(IndexError, match="derivation of length 4"):
+            d.new_atoms(i)
+    for i in (-1, 5, 99):
+        with pytest.raises(IndexError, match="derivation of length 4"):
+            d.instance_at(i)
 
 
 def test_apply_rule_not_triggered(join_kb):
@@ -344,7 +393,7 @@ def test_validate_rejects_altered_new_atoms():
             Derivation(d.initial, (d.steps[0], bad, d.steps[2])).validate()
 
 
-def test_validate_rejects_a_fresh_null_that_occurs_earlier():
+def test_validate_rejects_a_new_null_that_occurs_earlier():
     kb = _sample_kb("chain")
     d = next(d for d in enumerate_derivations(kb.database, kb.rules, 2)
              if d.rule_ids() == ("r1", "r2"))

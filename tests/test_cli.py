@@ -1,6 +1,5 @@
 import argparse
 import hashlib
-import itertools
 import json
 import re
 from pathlib import Path
@@ -8,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from chasegraph import cli, model, selfcheck
+from chasegraph import cli, selfcheck
 from chasegraph.cli import build_parser, main
 from chasegraph.errors import ResourceLimitError
 from conftest import subprocess_env
@@ -614,17 +613,24 @@ _CLI_DIGESTS = {
 }
 
 
-def test_every_cli_output_is_pinned_on_the_samples(tmp_path, monkeypatch, capsys):
+def test_every_cli_output_is_pinned_on_the_samples(tmp_path, capsys):
     digests = {}
     for n, argv in enumerate(_pinned_cases()):
         outdir = tmp_path / str(n)
         outdir.mkdir()
-        # the null counter starts afresh, as in a new process
-        monkeypatch.setattr(model, "_null_counter", itertools.count(1))
         code = main([a.replace("OUT", str(outdir)) for a in argv])
         out, err = capsys.readouterr()
         digests[_case_name(argv)] = _output_digest(code, out, err, outdir)
     assert digests == _CLI_DIGESTS
+
+
+def test_two_identical_commands_print_the_same_bytes(capsys):
+    argv = ["classify", str(SAMPLES / "join.rules"), "--class", "wgbts", "--depth", "3", "--json"]
+    runs = []
+    for _ in range(2):
+        code = main(argv)
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1] and "_:n" in runs[0][1].out
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,7 +18,6 @@ from chasegraph.model import (
     atom_key,
     atom_list_str,
     atom_set_str,
-    fresh_null,
     frontier_atoms,
     term_key,
     term_set_str,
@@ -96,11 +95,6 @@ def test_derivation_keys_hold_only_plain_tuples_str_and_int(join_kb):
             for d in enumerate_derivations(join_kb.database, join_kb.rules, 4)]
     assert len(keys) == 336 and all(map(plain, keys))
     assert all("name=" not in repr(k) and "ordinal=" not in repr(k) for k in keys)
-
-
-def test_fresh_nulls_are_unique():
-    batch = [fresh_null() for _ in range(100)]
-    assert len(set(batch)) == 100
 
 
 def test_instance_rejects_variables():
@@ -241,7 +235,7 @@ def test_kb_constants_are_computed_once_without_changing_identity():
 
 
 def test_instance_terms_are_computed_once_without_changing_identity():
-    n = fresh_null()
+    n = Null(1)
     inst, twin = Instance({Atom("p", (A, n))}), Instance({Atom("p", (A, n))})
     assert inst.terms() is inst.terms() == {A, n}
     assert inst == twin and hash(inst) == hash(twin)

@@ -295,6 +295,23 @@ def test_replay_detects_tampering(golden):
         ReductionTrace(g, trace.steps, trace.graphs[::-1]).replay()
 
 
+def test_replay_rejects_a_trace_without_one_graph_per_step(golden):
+    g, *_ = golden
+    trace = reduce_graph(g, "full")
+    assert len(trace.steps) == 4
+    forged = [
+        ReductionTrace(g, trace.steps, trace.graphs + (trace.final,)),  # an extra graph
+        ReductionTrace(g, trace.steps[:-1], trace.graphs),  # the last step dropped
+        ReductionTrace(g, trace.steps, trace.graphs[:-1]),  # the last graph dropped
+    ]
+    assert forged[1].complete
+    for bad in forged:
+        with pytest.raises(ValueError, match="graphs for"):
+            bad.replay()
+        with pytest.raises(ValueError, match="graphs for"):
+            check_prefix_invariants(bad)
+
+
 def test_reduce_graph_rejects_an_unknown_strategy(golden):
     g, *_ = golden
     with pytest.raises(ValueError, match="unknown strategy 'greedy'"):
