@@ -16,19 +16,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
-from .chase import Derivation, enumerate_derivations
-from .derivgraph import reachable
+from .chase import Derivation, DerivationStep, enumerate_derivations
+from .derivgraph import _arcs_into, reachable
 from .errors import NotPermutableError
-from .homs import _pass_key
+from .homs import _Split
 from .model import (
+    Atom,
     Constant,
     Instance,
     KnowledgeBase,
+    Null,
     Rule,
     Term,
     Variable,
     nulls_of,
+    terms_of,
 )
 
 
@@ -175,23 +179,36 @@ def is_greedy(d: Derivation, kb: KnowledgeBase) -> GreedinessReport:
     base also holds, change no step's remainder.
     """
     base = kb.constants | d.initial.terms()
-    step_nulls = [nulls_of(step.new_atoms) for step in d.steps]
+    earlier: list[frozenset[Null]] = []  # the nulls of each step so far
 
     witnesses: dict[int, int] = {}
     violations: list[tuple[int, frozenset[Term]]] = []
     for i, step in enumerate(d.steps, start=1):
-        image = frozenset(step.trigger.hom[v] for v in step.rule.frontier)
-        rest = image - base
-        if not rest:
-            witnesses[i] = 0
-            continue
-        for j in range(1, i):
-            if rest <= step_nulls[j - 1]:
-                witnesses[i] = j
-                break
+        w = _witness(step, base, earlier)
+        if w is None:
+            violations.append((i, _frontier_image(step)))
         else:
-            violations.append((i, image))
+            witnesses[i] = w
+        earlier.append(nulls_of(step.new_atoms))
     return GreedinessReport(not violations, witnesses, tuple(violations))
+
+
+def _frontier_image(step: DerivationStep) -> frozenset[Term]:
+    return frozenset(map(step.trigger.hom.mapping.__getitem__, step.rule.frontier))
+
+
+def _witness(step: DerivationStep, base: frozenset[Term],
+             earlier: Sequence[frozenset[Null]]) -> int | None:
+    """``is_greedy``'s test of one step: 0 when ``base`` covers its frontier
+    image, else the first step j whose nulls (``earlier[j - 1]``) cover the
+    rest; None when no step does."""
+    rest = _frontier_image(step) - base
+    if not rest:
+        return 0
+    for j, ns in enumerate(earlier, start=1):
+        if rest <= ns:
+            return j
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +266,88 @@ def normalize_by_grd(d: Derivation, grd: RuleDependencyGraph) -> Derivation:
 
 
 # ---------------------------------------------------------------------------
+# One walk of a derivation stream: class bits and keys from the parent
+# ---------------------------------------------------------------------------
+
+@dataclass(slots=True, eq=False)
+class _Node:
+    """A derivation in a walk, built from its parent's node (DECISIONS.md
+    section 13): its greedy and reducible bits; what its children's tests
+    read, which is each step's nulls, the node that added each atom and each
+    node's terms (constants left out: no label holds one); and, on first
+    use, the split of its final instance."""
+
+    greedy: bool
+    reducible: bool
+    nulls: tuple[frozenset[Null], ...]
+    owner: dict[Atom, int]
+    terms: tuple[frozenset[Term], ...]
+    parent: "_Node | None"
+    added: frozenset[Atom]  # the atoms of the last step, or the initial ones
+    split: _Split | None = None
+
+    @classmethod
+    def root(cls, atoms: frozenset[Atom]) -> "_Node":
+        return cls(True, True, (), dict.fromkeys(atoms, 0), (terms_of(atoms),), None, atoms)
+
+    def child(self, step: DerivationStep, constants: frozenset[Constant],
+              base: frozenset[Term]) -> "_Node":
+        """The node of this derivation extended by ``step``: greedy iff this
+        one is and the step passes ``is_greedy``'s test; reducible iff this
+        one is and the new node, if a convergence point, has an earlier node
+        whose terms cover the labels into it (DECISIONS.md section 7)."""
+        new = step.new_atoms
+        greedy = self.greedy and _witness(step, base, self.nulls) is not None
+        reducible = self.reducible
+        if reducible and len(step.rule.sorted_frontier_atoms) > 1:  # else one parent at most
+            into = _arcs_into(step, self.owner, constants)
+            if len(into) > 1:
+                union = frozenset().union(*into.values())
+                reducible = any(union <= ts for ts in self.terms)
+        return _Node(greedy, reducible, self.nulls + (nulls_of(new),),
+                     {**self.owner, **dict.fromkeys(new, len(self.terms))},
+                     self.terms + (terms_of(new),), self, new)
+
+    def key(self, memo: dict) -> tuple:
+        """``canonical_key`` of the final instance, forms shared through ``memo``."""
+        return self._split_of().key(memo)
+
+    def _split_of(self) -> _Split:
+        if self.split is None:
+            self.split = (self.parent._split_of() if self.parent else _Split()).extended(self.added)
+        return self.split
+
+
+def _walk(kb: KnowledgeBase, stream: Iterable[Derivation]) -> Iterator[tuple[Derivation, _Node]]:
+    """Each derivation of a depth-first stream from the KB's database, with
+    its node.  One node is kept per depth: the parent of d is the last
+    derivation of length len(d) - 1 before it (DECISIONS.md section 13)."""
+    base = kb.constants | kb.database.terms()
+    path: list[_Node] = []
+    for d in stream:
+        del path[len(d):]
+        path.append(path[-1].child(d.steps[-1], kb.constants, base) if path
+                    else _Node.root(d.initial.atoms))
+        yield d, path[-1]
+
+
+def _grouped(kb: KnowledgeBase, stream: Iterable[Derivation]
+             ) -> dict[tuple, tuple[Instance, list[tuple[Derivation, bool, bool]]]]:
+    """The walk's derivations by the canonical key of their final instance:
+    key -> (first final instance seen, (derivation, greedy, reducible) per
+    member in stream order)."""
+    memo: dict = {}
+    groups: dict[tuple, tuple[Instance, list]] = {}
+    for d, node in _walk(kb, stream):
+        key = node.key(memo)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (d.final, [])
+        group[1].append((d, node.greedy, node.reducible))
+    return groups
+
+
+# ---------------------------------------------------------------------------
 # Derivations grouped by final instance, and greedy re-derivation
 # ---------------------------------------------------------------------------
 
@@ -257,19 +356,12 @@ def group_derivations(
 ) -> dict[tuple, tuple[Instance, list[Derivation]]]:
     """Derivations up to max_len, one per trace (``dedup="traces"``), by the
     canonical key of their final instance: key -> (first final instance seen,
-    members in enumeration order).  The pass reuses the form of each
-    component a step left unchanged (``homs.canonical_key``)."""
-    key = _pass_key()
-    groups: dict[tuple, tuple[Instance, list[Derivation]]] = {}
-    for d in enumerate_derivations(kb.database, kb.rules, max_len, dedup="traces"):
-        groups.setdefault(key(d.final), (d.final, []))[1].append(d)
-    return groups
-
-
-def first_good(group: list[Derivation], check):
-    """(d, check(d)) for the first d with a truthy check, in (length,
-    enumeration) order, which iterative deepening also follows."""
-    return next(((d, r) for d in sorted(group, key=len) if (r := check(d))), None)
+    members in enumeration order).  Each key is carried from the parent's
+    final, reusing the form of each component the step left unchanged
+    (DECISIONS.md section 13)."""
+    stream = enumerate_derivations(kb.database, kb.rules, max_len, dedup="traces")
+    return {key: (target, [m[0] for m in members])
+            for key, (target, members) in _grouped(kb, stream).items()}
 
 
 def find_greedy_rederivation(
@@ -279,12 +371,16 @@ def find_greedy_rederivation(
     the first in (length, enumeration) order of one enumeration to max_len,
     which keeps one derivation per trace (greediness is a trace invariant).
     With no early exit, ResourceLimitError comes whenever the enumeration, or
-    the canonical key of a final instance as large as the target, trips its budget.
-    Component forms are reused within the call, as in ``group_derivations``.
+    the canonical key of a final instance as large as the target, trips its
+    budget.  Keys and greediness are carried from each derivation's parent,
+    as in ``group_derivations``.
     """
-    key = _pass_key()
-    wanted = key(target)
-    group = [d for d in enumerate_derivations(kb.database, kb.rules, max_len, dedup="traces")
-             if len(d.final) == len(target) and key(d.final) == wanted]
-    found = first_good(group, lambda d: is_greedy(d, kb).greedy)
-    return found[0] if found else None
+    memo: dict = {}
+    wanted = _Split().extended(target.atoms).key(memo)
+    found = None
+    for d, node in _walk(kb, enumerate_derivations(kb.database, kb.rules, max_len,
+                                                   dedup="traces")):
+        if (len(d.final) == len(target) and node.key(memo) == wanted and node.greedy
+                and (found is None or len(d) < len(found))):
+            found = d
+    return found

@@ -21,15 +21,19 @@ derivation in (length, DFS) order, searched to the full depth
 Every class reads the ``dedup="traces"`` stream, one derivation per trace:
 length, final instance, greediness and reducibility are trace invariants,
 and each certificate or witness is the DFS-first member of its trace, so it
-is the one the stream keeps (DECISIONS.md section 5).  An unknown verdict
-names the budget that tripped and its limit.
+is the one the stream keeps (DECISIONS.md section 5).  Each derivation's
+greedy and reducible bits, and its group's key, come from its parent's
+(``analysis._walk``, DECISIONS.md section 13): greediness is checked at the
+last step, the closed form of reducibility at the last node, and the full
+reduction runs only for a wcdgs witness, whose trace the verdict carries.
+An unknown verdict names the budget that tripped and its limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import GreedinessReport, first_good, group_derivations, is_greedy
+from .analysis import GreedinessReport, _grouped, _walk, is_greedy
 from .chase import Derivation, chase_k, enumerate_derivations
 from .derivgraph import build_derivation_graph
 from .errors import ResourceLimitError
@@ -103,27 +107,31 @@ def classify(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     weak = cls in ("wgbts", "wcdgs")
-    check = ((lambda d: is_greedy(d, kb).greedy) if cls in ("gbts", "wgbts")
-             else lambda d: reduce_graph(build_derivation_graph(d, kb), "full"))
+    good = 1 if cls in ("gbts", "wgbts") else 2  # a member's greedy or reducible bit
     try:
+        stream = enumerate_derivations(kb.database, kb.rules, depth, dedup="traces")
         if weak:
-            groups = group_derivations(kb, depth).values()
+            groups = _grouped(kb, stream).values()
         else:  # one group per derivation, read lazily
-            stream = enumerate_derivations(kb.database, kb.rules, depth, dedup="traces")
-            groups = ((None, [d]) for d in stream)
+            groups = ((None, [(d, n.greedy, n.reducible)]) for d, n in _walk(kb, stream))
         witnesses: list[GroupWitness] = []
         for target, members in groups:
-            shortest = min(members, key=len)
-            found = first_good(members, check)
-            if found is None:
+            members = sorted(members, key=lambda m: len(m[0]))  # stable: (length, DFS) order
+            shortest = members[0][0]
+            w = next((m[0] for m in members if m[good]), None)
+            if w is None:
                 report = is_greedy(shortest, kb) if cls == "gbts" else None
                 cert = Refutation(shortest, _REFUTATION_REASONS[cls], report, target)
                 detail = f"violation at step {report.violations[0][0]}" if report else ""
                 return ClassificationVerdict(cls, depth, REFUTED, cert, detail)
             if weak:
-                w, result = found
-                witnesses.append(GroupWitness(target, len(shortest), w,
-                                              result if cls == "wcdgs" else None))
+                trace = None
+                if cls == "wcdgs":
+                    trace = reduce_graph(build_derivation_graph(w, kb), "full")
+                    if trace is None:
+                        raise RuntimeError("a wcdgs witness with a reducible bit has no "
+                                           "complete full reduction")
+                witnesses.append(GroupWitness(target, len(shortest), w, trace))
         return ClassificationVerdict(cls, depth, HOLDS, tuple(witnesses) if weak else None)
     except ResourceLimitError as exc:
         return ClassificationVerdict(cls, depth, UNKNOWN, detail=str(exc),

@@ -22,7 +22,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Container, Iterable, Mapping
 
-from .chase import Derivation, Trigger
+from .chase import Derivation, DerivationStep, Trigger
 from .errors import UnknownTermError
 from .model import (
     Atom,
@@ -257,20 +257,28 @@ def build_derivation_graph(d: Derivation, kb: KnowledgeBase) -> DerivationGraph:
     arcs: dict[Arc, frozenset[Term]] = {}
 
     for j, step in enumerate(d.steps, start=1):
-        new = step.new_atoms
-        at.append(new)
+        at.append(step.new_atoms)
         provenance.append((step.rule, step.trigger))
-        hom = step.trigger.hom
-        fr = step.rule.frontier
-        for fa in step.rule.sorted_frontier_atoms:
-            image = hom.apply_atom(fa)
-            i = owner[image]
-            contribution = frozenset(hom.mapping[v] for v in fa.terms() & fr) - constants
-            arcs[(i, j)] = arcs.get((i, j), frozenset()) | contribution
-        for a in new:
+        for i, lbl in _arcs_into(step, owner, constants).items():
+            arcs[(i, j)] = lbl
+        for a in step.new_atoms:
             owner[a] = j
     facts = NodeFacts.of(tuple(at), constants, tuple(provenance))
     return DerivationGraph(facts, arcs)
+
+
+def _arcs_into(step: DerivationStep, owner: Mapping[Atom, int],
+               constants: frozenset[Constant]) -> dict[int, frozenset[Term]]:
+    """The labels of the arcs into the node of ``step``, by source node:
+    each frontier atom of its rule is matched against the atom that node
+    added (``owner``), and adds its frontier terms minus the constants."""
+    hom, fr = step.trigger.hom, step.rule.frontier
+    into: dict[int, frozenset[Term]] = {}
+    for fa in step.rule.sorted_frontier_atoms:
+        i = owner[hom.apply_atom(fa)]
+        into[i] = into.get(i, frozenset()) | (
+            frozenset(hom.mapping[v] for v in fa.terms() & fr) - constants)
+    return into
 
 
 def node_frontier(g: DerivationGraph, node: int) -> frozenset[Term]:

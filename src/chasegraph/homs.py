@@ -12,7 +12,7 @@ derivation identifiers.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable
+from typing import NamedTuple
 
 from .errors import ResourceLimitError
 from .model import (
@@ -65,7 +65,7 @@ def _search(atoms: list[Atom], index: dict, seed: dict[Term, Term],
     def search(remaining: list[Atom], binding: dict[Term, Term]) -> bool:
         """Return True when the requested number of results has been found."""
         if not remaining:
-            results.append(Substitution(binding))
+            results.append(Substitution._of(dict(binding)))
             return limit is not None and len(results) >= limit
         pick_i, exts = 0, None
         for i, a in enumerate(remaining):
@@ -137,23 +137,14 @@ def canonical_key(inst: Instance) -> tuple:
     colour-keeping automorphism.  Only sorted data is iterated, so the key
     is hash-seed independent.  Over ``MAX_CANON_NODES`` search nodes in all
     raises ResourceLimitError.  A form reads only its component's atoms, so
-    a grouping pass in ``analysis`` reuses the form of every component it
-    has met before; a reused form is charged the search nodes it cost, so
-    the budget trips exactly where it would if each form were recomputed
-    (DECISIONS.md section 4).
+    a grouping pass in ``analysis`` carries the form of every component a
+    step left unchanged and shares one form between components equal up to
+    an order-preserving null renaming; a reused form is charged the search
+    nodes it cost, so the budget trips exactly where it would if each form
+    were recomputed (DECISIONS.md sections 4 and 13).
     """
-    return _pass_key()(inst)
-
-
-def _pass_key() -> Callable[[Instance], tuple]:
-    """``canonical_key`` for one pass: component forms are memoised by atom
-    set for the life of the returned function."""
-    memo: dict = {}
-
-    def key(inst: Instance) -> tuple:
-        ground, components = _canonical_forms(inst, memo)
-        return tuple(ground), tuple(sorted(form for form, _, _ in components))
-    return key
+    ground, components = _canonical_forms(inst, {})
+    return tuple(ground), tuple(sorted(form for form, _, _ in components))
 
 
 def isomorphic_mod_nulls(a: Instance, b: Instance) -> Substitution | None:
@@ -176,16 +167,25 @@ def isomorphic_mod_nulls(a: Instance, b: Instance) -> Substitution | None:
     return Substitution(renaming)
 
 
-def _canonical_forms(inst: Instance, memo: dict) -> tuple[list[tuple], list[tuple]]:
-    """The sorted ground atom keys and, per null-connected component, its
-    form, the discrete labelling of the nulls that yields it, and the search
-    nodes the form cost.  ``memo`` maps a component's atom keys to that
-    triple; a memoised form is charged its nodes again."""
-    budget, nodes = MAX_CANON_NODES, 0
+class _Component:
+    """A null-connected component: its null ordinals, its atom keys and,
+    once computed, its form, its labelling by null rank and its search nodes."""
+
+    __slots__ = ("nulls", "atoms", "labelled")
+
+    def __init__(self, nulls: frozenset[int], atoms: list[tuple]):
+        self.nulls = nulls
+        self.atoms = atoms
+        self.labelled: tuple[tuple, tuple[int, ...], int] | None = None
+
+
+def _components(keys: list[tuple]) -> tuple[list[tuple], list[_Component]]:
+    """The ground atom keys of ``keys``, in their order, and the components
+    of the rest; a component moves to the end when an atom joins it."""
     ground: list[tuple] = []
-    comps: dict[int, tuple[set[int], list[tuple]]] = {}  # moves to the end when an atom joins it
+    comps: dict[int, tuple[set[int], list[tuple]]] = {}
     owner: dict[int, int] = {}  # null ordinal -> its component
-    for i, k in enumerate(sorted(map(atom_key, inst.atoms))):
+    for i, k in enumerate(keys):
         ns = {v for c, v in k[2] if c == 2}
         if not ns:
             ground.append(k)
@@ -197,32 +197,77 @@ def _canonical_forms(inst: Instance, memo: dict) -> tuple[list[tuple], list[tupl
             atoms += more_atoms
         comps[i] = (ns, atoms)
         owner.update(dict.fromkeys(ns, i))
-    forms = []
-    for ns, atoms in comps.values():
-        members = frozenset(atoms)
-        got = memo.get(members) or _form(sorted(ns), atoms, members, budget - nodes)
+    return ground, [_Component(frozenset(ns), atoms) for ns, atoms in comps.values()]
+
+
+def _charge(comps, memo: dict) -> list[tuple[tuple, tuple[int, ...], int]]:
+    """Each component's (form, labelling by null rank, search nodes), computing
+    the forms not yet known under what is left of ``MAX_CANON_NODES``.  ``memo``
+    maps a component's dense tuple (DECISIONS.md section 4) to that triple; a
+    known form is charged its nodes again."""
+    budget, nodes = MAX_CANON_NODES, 0
+    out = []
+    for comp in comps:
+        got = comp.labelled
+        if got is None:
+            ordinals = sorted(comp.nulls)
+            index = {o: i for i, o in enumerate(ordinals)}
+            dense = tuple([(p, n, tuple([index[t[1]] if t[0] == 2 else t for t in args]))
+                           for p, n, args in sorted(comp.atoms)])
+            got = memo.get(dense) or _form(len(ordinals), dense, budget - nodes)
+            if got is not None:
+                memo[dense] = comp.labelled = got
         if got is None or got[2] > budget - nodes:
             raise ResourceLimitError(
-                f"canonical form of an instance with {len(inst.nulls())} nulls exceeded "
-                f"the canonical-form budget MAX_CANON_NODES of {budget} search nodes",
-                budget="canonical-nodes", limit=budget)
-        memo[members] = got
+                f"canonical form of an instance with {sum(len(c.nulls) for c in comps)} "
+                f"nulls exceeded the canonical-form budget MAX_CANON_NODES of {budget} "
+                "search nodes", budget="canonical-nodes", limit=budget)
         nodes += got[2]
-        forms.append(got)
-    return ground, forms
+        out.append(got)
+    return out
 
 
-def _form(ordinals: list[int], atoms: list[tuple], members: frozenset,
-          allowance: int) -> tuple[tuple, dict[Null, int], int] | None:
-    """The form, labelling and search-node count of the component with null
-    ``ordinals`` and atom keys ``atoms`` (``members`` as a set), or None past
-    ``allowance`` nodes.  Null k of the component is held as the int k and a
+def _canonical_forms(inst: Instance, memo: dict) -> tuple[list[tuple], list[tuple]]:
+    """The sorted ground atom keys and, per null-connected component, its
+    form, the discrete labelling of the nulls that yields it, and the search
+    nodes the form cost (``_charge`` says how ``memo`` is used)."""
+    ground, comps = _components(sorted(map(atom_key, inst.atoms)))
+    return ground, [(form, {Null(o): c for o, c in zip(sorted(comp.nulls), colour)}, nodes)
+                    for comp, (form, colour, nodes) in zip(comps, _charge(comps, memo))]
+
+
+class _Split(NamedTuple):
+    """An instance as its sorted ground atom keys and its components, which
+    an instance with more atoms shares where the new atoms do not touch them."""
+
+    ground: tuple[tuple, ...] = ()
+    comps: tuple[_Component, ...] = ()
+
+    def extended(self, atoms: frozenset[Atom]) -> "_Split":
+        """The split of this instance plus ``atoms``: the components the new
+        atoms touch are split again with them, the rest are kept."""
+        keys = list(map(atom_key, atoms))
+        ns = {v for k in keys for c, v in k[2] if c == 2}
+        kept = tuple(c for c in self.comps if c.nulls.isdisjoint(ns))
+        touched = [k for c in self.comps if not c.nulls.isdisjoint(ns) for k in c.atoms]
+        ground, comps = _components(keys + touched)
+        return _Split(tuple(sorted(self.ground + tuple(ground))) if ground else self.ground,
+                      kept + tuple(comps))
+
+    def key(self, memo: dict) -> tuple:
+        """``canonical_key`` of the instance, forms shared through ``memo``."""
+        return self.ground, tuple(sorted(form for form, _, _ in _charge(self.comps, memo)))
+
+
+def _form(size: int, dense: tuple[tuple, ...],
+          allowance: int) -> tuple[tuple, tuple[int, ...], int] | None:
+    """The form, labelling by null rank and search-node count of the
+    component with ``size`` nulls and dense atom tuple ``dense`` (the null of
+    rank k held as the int k), or None past ``allowance`` nodes.  A
     colouring is a list, so each round labels every atom once."""
-    index = {o: i for i, o in enumerate(ordinals)}
-    dense = [(p, n, tuple([index[t[1]] if t[0] == 2 else t for t in args]))
-             for p, n, args in atoms]
+    members = frozenset(dense)
     slots = [[(i, x) for i, x in enumerate(args) if type(x) is int] for _, _, args in dense]
-    everyone = range(len(ordinals))
+    everyone = range(size)
 
     def labels(colour: list[int]) -> list[tuple]:
         return [(p, n, tuple([(2, colour[x]) if type(x) is int else x for x in args]))
@@ -261,11 +306,11 @@ def _form(ordinals: list[int], atoms: list[tuple], members: frozenset,
         # perm maps the component's nulls onto themselves, so a permuted atom
         # is in the instance iff it is in the component (DECISIONS.md section 4)
         return (perm[u] == v and all(colour[perm[n]] == colour[n] for n in everyone)
-                and all((p, n, tuple([(2, ordinals[perm[x]]) if type(x) is int else x
-                                      for x in args])) in members for p, n, args in dense))
+                and all((p, n, tuple([perm[x] if type(x) is int else x for x in args]))
+                        in members for p, n, args in dense))
 
     nodes, best = 0, None
-    stack = [refine([0] * len(ordinals))]
+    stack = [refine([0] * size)]
     while stack:
         nodes += 1
         if nodes > allowance:
@@ -285,4 +330,4 @@ def _form(ordinals: list[int], atoms: list[tuple], members: frozenset,
                 tried.append((v, cv))
                 stack.append(cv)
     leaf, colour = best
-    return leaf, {Null(o): c for o, c in zip(ordinals, colour)}, nodes
+    return leaf, tuple(colour), nodes

@@ -1,3 +1,4 @@
+import operator
 import random
 from pathlib import Path
 
@@ -15,9 +16,10 @@ from chasegraph.analysis import (
     rule_dependency_graph,
 )
 from chasegraph.chase import Derivation, enumerate_derivations
+from chasegraph.derivgraph import build_derivation_graph
 from chasegraph.docparse import parse_document
 from chasegraph.errors import NotPermutableError, ResourceLimitError
-from chasegraph.homs import isomorphic_mod_nulls
+from chasegraph.homs import canonical_key, isomorphic_mod_nulls
 from chasegraph.model import (
     Atom,
     Instance,
@@ -28,6 +30,7 @@ from chasegraph.model import (
     Variable,
 )
 from chasegraph.randkb import random_kb
+from chasegraph.reduction import reduce_graph
 
 from conftest import A, B, U, V, W, X, Y, Z, rename_derivation_nulls
 from oracles import (
@@ -507,3 +510,55 @@ def test_grouping_budget_trips_where_uncached_keys_trip(name, join_kb, monkeypat
         assert got == expected
         tripped.add(got[0] if isinstance(got, tuple) else None)
     assert None in tripped and len(tripped) > 2  # some budgets pass, several derivations trip
+
+
+# ---------------------------------------------------------------------------
+# the walk: class bits and keys from the parent (DECISIONS.md section 13)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dedup", ["none", "traces"])
+def test_each_derivation_follows_its_preorder_parent(join_kb, chain_kb, dedup):
+    # the parent of d is the last derivation of length len(d) - 1 before it
+    for kb, depth in ((join_kb, 6), (chain_kb, 7)):
+        last: list[Derivation] = []  # the last derivation of each length so far
+        for d in enumerate_derivations(kb.database, kb.rules, depth, dedup=dedup):
+            del last[len(d):]
+            assert len(last) == len(d)
+            if last:
+                parent = last[-1]
+                assert len(parent) == len(d) - 1
+                assert all(map(operator.is_, parent.steps, d.steps))
+            last.append(d)
+
+
+def _seed_1702_kbs() -> list[KnowledgeBase]:
+    """The acceptance corpus: the first 500 KBs of seed 1702 with at most
+    1,200 derivations to depth 3."""
+    rng, kbs = random.Random(1702), []
+    while len(kbs) < 500:
+        kb = random_kb(rng)
+        try:
+            for _ in enumerate_derivations(kb.database, kb.rules, 3, max_derivations=1200):
+                pass
+        except ResourceLimitError:
+            continue
+        kbs.append(kb)
+    return kbs
+
+
+def test_walk_bits_and_keys_match_the_whole_derivation_checks(join_kb, chain_kb):
+    # both bits come from the parent's and the last step or node; the key
+    # from the parent's split and the last step's atoms
+    checked = nongreedy = 0
+    for kb, depth in [(join_kb, 6), (chain_kb, 7)] + [(kb, 3) for kb in _seed_1702_kbs()]:
+        memo: dict = {}
+        stream = enumerate_derivations(kb.database, kb.rules, depth, dedup="traces")
+        for d, node in analysis._walk(kb, stream):
+            greedy = is_greedy(d, kb).greedy
+            assert node.greedy == greedy
+            assert node.reducible == (reduce_graph(build_derivation_graph(d, kb), "full")
+                                      is not None)
+            assert node.key(memo) == canonical_key(d.final)
+            checked += 1
+            nongreedy += not greedy
+    assert checked == 1463 + 868 + 7183 and nongreedy > 0

@@ -294,6 +294,15 @@ def test_weak_refutations_have_no_greedy_derivation_within_the_depth(name, depth
             assert analysis.find_greedy_rederivation(kb, verdict.certificate.target, depth) is None
 
 
+def test_a_wcdgs_witness_without_a_full_reduction_raises(join_kb, monkeypatch):
+    # the reducible bit and the full reduction are two computations; should
+    # they part, no witness is returned without its trace
+    monkeypatch.setattr(importlib.import_module("chasegraph.classify"), "reduce_graph",
+                        lambda g, strategy: None)
+    with pytest.raises(RuntimeError, match="wcdgs witness"):
+        classify(join_kb, "wcdgs", 3)
+
+
 def test_canonical_form_budget_gives_unknown(join_kb, monkeypatch):
     # two r1 steps give an instance with two q-components: two search nodes
     monkeypatch.setattr(homs, "MAX_CANON_NODES", 1)

@@ -290,6 +290,26 @@ def test_canonical_forms_match_the_oracle_with_and_without_a_memo():
     assert len(memo) < forms and nodes > forms  # forms recur, and some need a search
 
 
+def test_order_isomorphic_components_share_one_memo_entry():
+    # a component's memo entry is keyed by its dense tuple, so copies under an
+    # order-preserving null renaming share it and each gets its own nulls'
+    # labelling; a copy with the null order reversed has an entry of its own
+    def gadget(ordinals):  # a 3-cycle with a tail: the labelling is forced
+        a, b, c, d = map(Null, ordinals)
+        return {Atom("e", (a, b)), Atom("e", (b, c)), Atom("e", (c, a)), Atom("f", (a, d))}
+
+    same, shifted, reversed_ = (1, 2, 3, 4), (7, 9, 10, 12), (20, 19, 18, 17)
+    inst = Instance(gadget(same) | gadget(shifted) | gadget(reversed_))
+    memo: dict = {}
+    ground, comps = homs._canonical_forms(inst, memo)
+    assert repr((ground, comps)) == repr(canonical_forms_oracle(inst))
+    assert len(comps) == 3 and len(memo) == 2
+    assert len({form for form, _, _ in comps}) == 1
+    by_nulls = {frozenset(labels): labels for _, labels, _ in comps}
+    first, second = by_nulls[frozenset(map(Null, same))], by_nulls[frozenset(map(Null, shifted))]
+    assert [first[Null(o)] for o in same] == [second[Null(o)] for o in shifted]
+
+
 # ---------------------------------------------------------------------------
 # isomorphism through the canonical labelling, against the backtracking oracle
 # ---------------------------------------------------------------------------
