@@ -27,11 +27,9 @@ from .model import (
     Constant,
     Instance,
     KnowledgeBase,
-    Null,
     Rule,
     Term,
     Variable,
-    nulls_of,
     terms_of,
 )
 
@@ -169,9 +167,11 @@ def is_greedy(d: Derivation, kb: KnowledgeBase) -> GreedinessReport:
     """Check that each step's frontier image sits inside the nulls introduced
     by one earlier step, plus constants and initial nulls.
 
-    The witness set for step j is the nulls of the atoms j actually added.
-    For steps whose head image is disjoint from the prior instance (every
-    application in practice) this is exactly the null set of the head image.
+    The witness set for step j is the nulls of the atoms j actually added,
+    read from the terms of those atoms: what a witness must cover holds
+    fresh nulls only.  For steps whose head image is disjoint from the
+    prior instance (every application in practice) this is exactly the
+    null set of the head image.
 
     The base is the KB's constants and the terms of ``d.initial``.  Every
     term of an instance along ``d`` is a term of ``d.initial``, a rule
@@ -179,17 +179,17 @@ def is_greedy(d: Derivation, kb: KnowledgeBase) -> GreedinessReport:
     base also holds, change no step's remainder.
     """
     base = kb.constants | d.initial.terms()
-    earlier: list[frozenset[Null]] = []  # the nulls of each step so far
+    terms = [terms_of(d.initial.atoms)]  # the terms of each node so far
 
     witnesses: dict[int, int] = {}
     violations: list[tuple[int, frozenset[Term]]] = []
     for i, step in enumerate(d.steps, start=1):
-        w = _witness(step, base, earlier)
+        w = _witness(step, base, terms)
         if w is None:
             violations.append((i, _frontier_image(step)))
         else:
             witnesses[i] = w
-        earlier.append(nulls_of(step.new_atoms))
+        terms.append(terms_of(step.new_atoms))
     return GreedinessReport(not violations, witnesses, tuple(violations))
 
 
@@ -198,15 +198,17 @@ def _frontier_image(step: DerivationStep) -> frozenset[Term]:
 
 
 def _witness(step: DerivationStep, base: frozenset[Term],
-             earlier: Sequence[frozenset[Null]]) -> int | None:
+             terms: Sequence[frozenset[Term]]) -> int | None:
     """``is_greedy``'s test of one step: 0 when ``base`` covers its frontier
-    image, else the first step j whose nulls (``earlier[j - 1]``) cover the
-    rest; None when no step does."""
+    image, else the first earlier step j whose node terms (``terms[j]``)
+    cover the rest; None when no step does.  The rest holds fresh nulls
+    only, and node 0's terms lie inside ``base``, so node 0 never covers
+    it (DECISIONS.md section 13)."""
     rest = _frontier_image(step) - base
     if not rest:
         return 0
-    for j, ns in enumerate(earlier, start=1):
-        if rest <= ns:
+    for j, ts in enumerate(terms):
+        if rest <= ts:
             return j
     return None
 
@@ -273,13 +275,12 @@ def normalize_by_grd(d: Derivation, grd: RuleDependencyGraph) -> Derivation:
 class _Node:
     """A derivation in a walk, built from its parent's node (DECISIONS.md
     section 13): its greedy and reducible bits; what its children's tests
-    read, which is each step's nulls, the node that added each atom and each
-    node's terms (constants left out: no label holds one); and, on first
-    use, the split of its final instance."""
+    read, which is the node that added each atom and each node's terms
+    (constants left out: no label holds one); and, on first use, the split
+    of its final instance."""
 
     greedy: bool
     reducible: bool
-    nulls: tuple[frozenset[Null], ...]
     owner: dict[Atom, int]
     terms: tuple[frozenset[Term], ...]
     parent: "_Node | None"
@@ -288,7 +289,7 @@ class _Node:
 
     @classmethod
     def root(cls, atoms: frozenset[Atom]) -> "_Node":
-        return cls(True, True, (), dict.fromkeys(atoms, 0), (terms_of(atoms),), None, atoms)
+        return cls(True, True, dict.fromkeys(atoms, 0), (terms_of(atoms),), None, atoms)
 
     def child(self, step: DerivationStep, constants: frozenset[Constant],
               base: frozenset[Term]) -> "_Node":
@@ -297,15 +298,14 @@ class _Node:
         one is and the new node, if a convergence point, has an earlier node
         whose terms cover the labels into it (DECISIONS.md section 7)."""
         new = step.new_atoms
-        greedy = self.greedy and _witness(step, base, self.nulls) is not None
+        greedy = self.greedy and _witness(step, base, self.terms) is not None
         reducible = self.reducible
         if reducible and len(step.rule.sorted_frontier_atoms) > 1:  # else one parent at most
             into = _arcs_into(step, self.owner, constants)
             if len(into) > 1:
                 union = frozenset().union(*into.values())
                 reducible = any(union <= ts for ts in self.terms)
-        return _Node(greedy, reducible, self.nulls + (nulls_of(new),),
-                     {**self.owner, **dict.fromkeys(new, len(self.terms))},
+        return _Node(greedy, reducible, {**self.owner, **dict.fromkeys(new, len(self.terms))},
                      self.terms + (terms_of(new),), self, new)
 
     def key(self, memo: dict) -> tuple:

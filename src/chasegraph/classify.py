@@ -69,7 +69,7 @@ class GroupWitness:
 
     target: Instance
     shortest_len: int
-    witness: Derivation | None
+    witness: Derivation
     trace: ReductionTrace | None = None
 
 

@@ -137,23 +137,11 @@ class DerivationGraph:
                 raise ValueError(f"arc ({i},{j}) violates forward orientation")
             if not lbl <= facts.terms[i]:
                 raise ValueError(f"label of ({i},{j}) escapes terms(X{i})")
-        self._index(facts, dict(arcs))
-
-    @classmethod
-    def _of(cls, facts: NodeFacts, arcs: dict[Arc, frozenset[Term]]) -> "DerivationGraph":
-        """Take ownership of an arc map without checking it: the one
-        unchecked constructor, used only by a test that forges a graph the
-        constructor rejects."""
-        g = object.__new__(cls)
-        g._index(facts, arcs)
-        return g
-
-    def _index(self, facts: NodeFacts, arcs: dict[Arc, frozenset[Term]]) -> None:
         parents: dict[int, list[int]] = {}
         for (i, j) in sorted(arcs):
             parents.setdefault(j, []).append(i)
         self.facts = facts
-        self.arcs = arcs
+        self.arcs = dict(arcs)
         self._parents = {j: tuple(ps) for j, ps in parents.items()}
         self._points = tuple(sorted(j for j, ps in parents.items() if len(ps) > 1))
         self._unreached = None
@@ -161,7 +149,9 @@ class DerivationGraph:
     def _rewired(self, arcs: dict[Arc, frozenset[Term]], k: int) -> "DerivationGraph":
         """Take ownership of ``arcs``, which differ from this graph's arcs
         only in the arcs into node k: the index is this graph's, with node
-        k's entry recomputed."""
+        k's entry recomputed.  Only ``reduction._successor`` calls it, with
+        the arcs of a move, which keeps every label inside its source's
+        terms (DECISIONS.md section 14)."""
         g = object.__new__(DerivationGraph)
         g.facts = self.facts
         g.arcs = arcs
@@ -272,12 +262,12 @@ def _arcs_into(step: DerivationStep, owner: Mapping[Atom, int],
     """The labels of the arcs into the node of ``step``, by source node:
     each frontier atom of its rule is matched against the atom that node
     added (``owner``), and adds its frontier terms minus the constants."""
-    hom, fr = step.trigger.hom, step.rule.frontier
+    m, fr = step.trigger.hom.mapping, step.rule.frontier
     into: dict[int, frozenset[Term]] = {}
     for fa in step.rule.sorted_frontier_atoms:
-        i = owner[hom.apply_atom(fa)]
+        i = owner[Atom(fa.pred, tuple(map(m.get, fa.args, fa.args)))]
         into[i] = into.get(i, frozenset()) | (
-            frozenset(hom.mapping[v] for v in fa.terms() & fr) - constants)
+            frozenset(m[v] for v in fa.terms() & fr) - constants)
     return into
 
 

@@ -25,7 +25,7 @@ earlier node.  Reduction search ends exactly when that shape is reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 from operator import attrgetter
 from typing import Callable, Iterator, Union
@@ -179,11 +179,32 @@ def is_cycle_free(g: DerivationGraph) -> bool:
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """A replayable reduction: initial graph, steps, and every intermediate."""
+    """A reduction: an initial graph and the steps applied to it, each
+    checked by ``apply_step``, with every intermediate graph."""
 
     initial: DerivationGraph
     steps: tuple[ReductionStep, ...]
-    graphs: tuple[DerivationGraph, ...]  # graphs[p] = result after p steps
+    graphs: tuple[DerivationGraph, ...] = field(init=False)  # graphs[p] = result after p steps
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "steps", tuple(self.steps))
+        graphs = [self.initial]
+        for step in self.steps:
+            graphs.append(apply_step(graphs[-1], step))
+        object.__setattr__(self, "graphs", tuple(graphs))
+
+    @classmethod
+    def _of(cls, steps: tuple[ReductionStep, ...],
+            graphs: tuple[DerivationGraph, ...]) -> "ReductionTrace":
+        """The trace of ``steps`` through ``graphs``, taken as given: for
+        ``_path``, whose every step is a move of the graph before it, so
+        its graphs are the ones the constructor builds (DECISIONS.md
+        section 14)."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "initial", graphs[0])
+        object.__setattr__(trace, "steps", steps)
+        object.__setattr__(trace, "graphs", graphs)
+        return trace
 
     @property
     def final(self) -> DerivationGraph:
@@ -194,15 +215,9 @@ class ReductionTrace:
         return is_cycle_free(self.final)
 
     def replay(self) -> None:
-        """Re-apply the steps and verify one recorded graph per step: its arcs
-        and labels, and that it shares the initial graph's node facts."""
+        """Re-apply the steps, each with its side condition, and verify the
+        arcs and labels of every recorded graph."""
         g = self.initial
-        if len(self.graphs) != len(self.steps) + 1:
-            raise ValueError(f"trace has {len(self.graphs)} graphs for {len(self.steps)} steps")
-        if any(h.facts is not g.facts for h in self.graphs):
-            raise ValueError("trace graphs do not share the initial graph's node facts")
-        if self.graphs[0].arcs != g.arcs:
-            raise ValueError("trace does not start at the initial graph")
         for p, step in enumerate(self.steps, start=1):
             g = apply_step(g, step)
             if g.arcs != self.graphs[p].arcs:
@@ -232,7 +247,7 @@ def _path(g: DerivationGraph, budget: _StateBudget,
     ``pick`` gives no step.  Every move strictly shrinks the arc count plus
     the total label size, so the path never meets a graph twice and takes
     at most that many steps (DECISIONS.md sections 6 and 7).  Picks are
-    applied without re-checking their side conditions."""
+    applied without re-checking their side conditions (section 14)."""
     steps: list[ReductionStep] = []
     graphs = [g]
     while not is_cycle_free(graphs[-1]):
@@ -242,7 +257,7 @@ def _path(g: DerivationGraph, budget: _StateBudget,
             return None
         steps.append(step)
         graphs.append(_successor(graphs[-1], step))
-    return ReductionTrace(g, tuple(steps), tuple(graphs))
+    return ReductionTrace._of(tuple(steps), tuple(graphs))
 
 
 def _cr_pick(h: DerivationGraph) -> CrStep | None:
@@ -298,13 +313,12 @@ def reduce_graph(
 @dataclass(frozen=True)
 class PrefixInvariantReport:
     frontier_matches: bool
-    labels_covered: bool
     frontier_witness: bool
     failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return self.frontier_matches and self.labels_covered and self.frontier_witness
+        return self.frontier_matches and self.frontier_witness
 
 
 def check_prefix_invariants(trace: ReductionTrace) -> PrefixInvariantReport:
@@ -312,58 +326,47 @@ def check_prefix_invariants(trace: ReductionTrace) -> PrefixInvariantReport:
 
     (a) a node with parents has frontier equal to the union of its incoming
         labels;
-    (b) every arc label is contained in the terms of its source node;
     (c) for complete traces only: in every prefix, each non-source node has
         an earlier node whose terms cover its frontier.
 
-    The replay makes every prefix its predecessor rewritten at one node,
-    the step's, under the initial graph's node facts.  All three
-    invariants read a node's incoming arcs and its static facts only, so
-    the first graph is checked in full and each later prefix at the step's
-    node alone; the failing nodes and arcs carry over from one prefix to
-    the next (DECISIONS.md section 9).  Failures are listed by prefix,
-    then by invariant: (a) and (c) by node, (b) in the graph's arc order.
+    (Invariant (b), every label inside its source's terms, is enforced by
+    the graph constructor and kept by every move: DECISIONS.md section 14.)
+    Every prefix of a trace is its predecessor rewritten at one node, the
+    step's, under the initial graph's node facts.  Both invariants read a
+    node's incoming arcs and its static facts only, so the first graph is
+    checked in full and each later prefix at the step's node alone; the
+    failing nodes carry over from one prefix to the next (DECISIONS.md
+    section 9).  Failures are listed by prefix, then by invariant, then by
+    node.
     """
-    trace.replay()
     terms, frontier = trace.initial.facts.terms, trace.initial.facts.frontier
     check_witness = trace.complete
     unmatched: set[int] = set()  # (a)
-    escaping: set[Arc] = set()  # (b)
     unwitnessed: set[int] = set()  # (c)
 
     def recheck(g: DerivationGraph, n: int) -> None:
-        """Recompute node n's entries of the three failing sets."""
-        escaping.difference_update([arc for arc in escaping if arc[1] == n])
+        """Recompute node n's entries of the two failing sets."""
         unmatched.discard(n)
         unwitnessed.discard(n)
         parents = g.parents(n)
         if not parents:
             return
-        incoming = frozenset()
-        for i in parents:
-            lbl = g.arcs[(i, n)]
-            if not lbl <= terms[i]:
-                escaping.add((i, n))
-            incoming |= lbl
-        if frontier[n] != incoming:
+        if frontier[n] != frozenset().union(*[g.arcs[(i, n)] for i in parents]):
             unmatched.add(n)
         if check_witness and not any(frontier[n] <= terms[m] for m in range(n)):
             unwitnessed.add(n)
 
     failures: list[str] = []
-    fr_ok = lbl_ok = wit_ok = True
+    fr_ok = wit_ok = True
     for p, g in enumerate(trace.graphs):
         for n in (trace.steps[p - 1].node,) if p else g.nodes:
             recheck(g, n)
-        if not (unmatched or escaping or unwitnessed):
+        if not (unmatched or unwitnessed):
             continue
         fr_ok &= not unmatched
-        lbl_ok &= not escaping
         wit_ok &= not unwitnessed
         failures += (f"prefix {p}: frontier of X{n} != union of incoming labels"
                      for n in sorted(unmatched))
-        failures += (f"prefix {p}: label of ({i},{j}) escapes terms(X{i})"
-                     for (i, j) in g.arcs if (i, j) in escaping)
         failures += (f"prefix {p}: no earlier node covers the frontier of X{n}"
                      for n in sorted(unwitnessed))
-    return PrefixInvariantReport(fr_ok, lbl_ok, wit_ok, tuple(failures))
+    return PrefixInvariantReport(fr_ok, wit_ok, tuple(failures))

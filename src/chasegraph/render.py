@@ -162,7 +162,7 @@ def verdict_json(v: ClassificationVerdict) -> dict[str, Any]:
             {
                 "target": instance_json(w.target),
                 "shortest_len": w.shortest_len,
-                "witness": derivation_json(w.witness) if w.witness is not None else None,
+                "witness": derivation_json(w.witness),
                 **({"trace": trace_json(w.trace, "full")} if w.trace is not None else {}),
             }
             for w in cert

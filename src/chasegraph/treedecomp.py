@@ -53,7 +53,8 @@ class TreeDecomposition:
 def extract_tree_decomposition(g: DerivationGraph) -> TreeDecomposition:
     """Read a reduced cycle-free graph as a tree decomposition.
 
-    Bags are the node term sets and arcs become undirected edges.  A fully
+    Bags are the node term sets and arcs become undirected edges, each
+    already written smaller index first since arcs point forward.  A fully
     reduced graph is a forest; its trees are chained together by linking the
     roots in index order, which cannot break the occurrence-connectedness of
     any term.  Every node has at most one parent and arcs point forward, so
@@ -63,7 +64,7 @@ def extract_tree_decomposition(g: DerivationGraph) -> TreeDecomposition:
     if not is_cycle_free(g):
         raise NotCycleFreeError("graph still has converging arcs")
     bags = tuple(g.node_terms(i) for i in g.nodes)
-    edges = {(min(i, j), max(i, j)) for (i, j) in g.arcs}
+    edges = set(g.arcs)
     roots = [i for i in g.nodes if not g.in_degree(i)]
     edges.update(zip(roots, roots[1:]))
     return TreeDecomposition(bags, frozenset(edges), roots[0])

@@ -254,26 +254,33 @@ def test_reductions_only_touch_arcs(golden):
 
 def test_prefix_invariants_on_replayed_trace(golden):
     g, z0, _ = golden
-    from chasegraph.reduction import ReductionTrace
-
-    seq = (TrStep(2, 1, 3, z0), ArStep(1, 3), CrStep(2, 3, 4, 2))
-    graphs = [g]
-    for step in seq:
-        graphs.append(apply_step(graphs[-1], step))
-    trace = ReductionTrace(g, seq, tuple(graphs))
+    trace = ReductionTrace(g, (TrStep(2, 1, 3, z0), ArStep(1, 3), CrStep(2, 3, 4, 2)))
     report = check_prefix_invariants(trace)
     assert report.ok, report.failures
 
 
+def test_trace_constructor_applies_each_step_with_its_side_condition(golden):
+    g, z0, _ = golden
+    seq = (TrStep(2, 1, 3, z0), ArStep(1, 3), CrStep(2, 3, 4, 2))
+    trace = ReductionTrace(g, seq)
+    graphs = [g]
+    for step in seq:
+        graphs.append(apply_step(graphs[-1], step))
+    assert trace.initial is g and trace.graphs[0] is g and trace.steps == seq
+    assert [h.arcs for h in trace.graphs] == [h.arcs for h in graphs]
+    assert all(h.facts is g.facts for h in trace.graphs)
+    with pytest.raises(SideConditionViolatedError, match=r"^ar\[1,3\] does not apply"):
+        ReductionTrace(g, (ArStep(1, 3),))  # (X1, X3) is labeled {z0}
+    with pytest.raises(SideConditionViolatedError, match=r"^tr\[2,1,3,"):
+        ReductionTrace(g, seq[:1] * 2)  # z0 is gone from (X1, X3) after the first
+
+
 def test_prefix_invariants_on_empty_trace(golden):
     g, *_ = golden
-    from chasegraph.reduction import ReductionTrace
-
-    trace = ReductionTrace(g, (), (g,))
-    report = check_prefix_invariants(trace)
-    # the unreduced graph satisfies (a) and (b); (c) is only checked for
-    # complete traces and this one is not complete
-    assert report.frontier_matches and report.labels_covered
+    report = check_prefix_invariants(ReductionTrace(g, ()))
+    # the unreduced graph satisfies (a); (c) is only checked for complete
+    # traces and this one is not complete
+    assert report.frontier_matches
 
 
 def test_prefix_invariants_on_cr_only_trace(golden):
@@ -286,50 +293,15 @@ def test_prefix_invariants_on_cr_only_trace(golden):
 def test_replay_detects_tampering(golden):
     g, *_ = golden
     trace = reduce_graph(g, "cr-only")
-    from chasegraph.reduction import ReductionTrace
-
-    broken = ReductionTrace(g, trace.steps, (g,) + trace.graphs[:-1])
-    with pytest.raises(ValueError):
+    broken = ReductionTrace._of(trace.steps, (g,) + trace.graphs[:-1])
+    with pytest.raises(ValueError, match=r"^replay diverges after step 1 \(cr\[1,2,3,2\]\)$"):
         broken.replay()
-    with pytest.raises(ValueError, match="does not start at the initial graph"):
-        ReductionTrace(g, trace.steps, trace.graphs[::-1]).replay()
-
-
-def test_replay_rejects_a_trace_without_one_graph_per_step(golden):
-    g, *_ = golden
-    trace = reduce_graph(g, "full")
-    assert len(trace.steps) == 4
-    forged = [
-        ReductionTrace(g, trace.steps, trace.graphs + (trace.final,)),  # an extra graph
-        ReductionTrace(g, trace.steps[:-1], trace.graphs),  # the last step dropped
-        ReductionTrace(g, trace.steps, trace.graphs[:-1]),  # the last graph dropped
-    ]
-    assert forged[1].complete
-    for bad in forged:
-        with pytest.raises(ValueError, match="graphs for"):
-            bad.replay()
-        with pytest.raises(ValueError, match="graphs for"):
-            check_prefix_invariants(bad)
 
 
 def test_reduce_graph_rejects_an_unknown_strategy(golden):
     g, *_ = golden
     with pytest.raises(ValueError, match="unknown strategy 'greedy'"):
         reduce_graph(g, "greedy")
-
-
-def test_replay_rejects_graphs_with_other_node_facts(chain_kb, chain_derivation):
-    g = build_derivation_graph(chain_derivation, chain_kb)
-    trace = reduce_graph(g, "cr-only")
-    twin = build_derivation_graph(chain_derivation, chain_kb)  # equal facts, another object
-    assert twin.facts is not g.facts and twin.arcs == g.arcs
-    for p in range(len(trace.graphs)):
-        graphs = list(trace.graphs)
-        graphs[p] = DerivationGraph(twin.facts, graphs[p].arcs)
-        with pytest.raises(ValueError, match="node facts"):
-            ReductionTrace(g, trace.steps, tuple(graphs)).replay()
-        with pytest.raises(ValueError, match="node facts"):
-            check_prefix_invariants(ReductionTrace(g, trace.steps, tuple(graphs)))
 
 
 def _hand_facts(nulls_at, frontiers):
@@ -347,40 +319,54 @@ def _hand_facts(nulls_at, frontiers):
     return NodeFacts.of(at, frozenset(), tuple(provenance)), x
 
 
-def test_prefix_invariants_on_a_hand_built_trace_with_escaping_labels():
-    # (3,4) and (0,1) escape their sources' terms from the start, so the
-    # root is forged past the constructor's check, and they come
-    # in the arc dict in the opposite of sorted order; X1's frontier {x3}
-    # is covered by no earlier node.  Each cr writes (0,4) anew at the end
-    # of the arc dict; the second also drops the escaping (3,4).
+def test_prefix_invariants_on_a_hand_built_trace_with_failing_nodes():
+    # every label lies inside its source's terms, as the constructor
+    # demands; X1's frontier {x3} is neither its incoming label {x1} nor
+    # covered by an earlier node, so (a) and (c) fail there at every
+    # prefix; X2's frontier {x0} is not its incoming label either, until
+    # the ar removes X2's one arc and (a) no longer applies to it
     facts, x = _hand_facts(
-        [{0, 1}, {1}, {0, 1}, {2}, {0, 1}],
+        [{0, 1}, {1}, {0, 1}, {0, 2}, {0, 1}],
         [(), (3,), (0,), (2,), (0, 1)],
     )
-    g = DerivationGraph._of(facts, {
+    g = DerivationGraph(facts, {
         (3, 4): frozenset({x[0]}),
         (0, 4): frozenset({x[0]}),
         (1, 4): frozenset({x[1]}),
-        (0, 1): frozenset({x[3]}),
-        (0, 2): frozenset({x[0]}),
+        (0, 1): frozenset({x[1]}),
         (1, 2): frozenset(),
     })
-    steps = (ArStep(1, 2), CrStep(0, 1, 4, 0), CrStep(0, 3, 4, 0))
-    graphs = [g]
-    for step in steps:
-        graphs.append(apply_step(graphs[-1], step))
-    assert list(graphs[2].arcs) == [(3, 4), (0, 1), (0, 2), (0, 4)]
-    trace = ReductionTrace(g, steps, tuple(graphs))
+    trace = ReductionTrace(g, (ArStep(1, 2), CrStep(0, 1, 4, 0), CrStep(0, 3, 4, 0)))
     assert trace.complete
     report = check_prefix_invariants(trace)
     assert report == check_prefix_invariants_oracle(trace)
-    escapes = [f"label of ({i},{j}) escapes terms(X{i})" for i, j in ((3, 4), (0, 1))]
+    unmatched = [f"frontier of X{n} != union of incoming labels" for n in (1, 2)]
     uncovered = "no earlier node covers the frontier of X1"
     assert report.failures == tuple(
-        [f"prefix {p}: {msg}" for p in range(3) for msg in escapes + [uncovered]]
-        + [f"prefix 3: {escapes[1]}", f"prefix 3: {uncovered}"])
-    assert (report.frontier_matches, report.labels_covered, report.frontier_witness) == \
-        (True, False, False)
+        [f"prefix 0: {msg}" for msg in unmatched + [uncovered]]
+        + [f"prefix {p}: {msg}" for p in range(1, 4) for msg in (unmatched[0], uncovered)])
+    assert (report.frontier_matches, report.frontier_witness) == (False, False)
+
+
+def test_reduce_graph_traces_equal_their_checked_replay():
+    # reduce_graph builds its traces without applying a step twice; each
+    # must replay, and the public constructor, which applies every step
+    # with its side condition, must give the same graphs (DECISIONS.md
+    # section 14)
+    traces = 0
+    for name, depth in (("chain", 6), ("join", 5)):
+        kb = parse_document((SAMPLES / f"{name}.rules").read_text()).knowledge_base()
+        for d in enumerate_derivations(kb.database, kb.rules, depth):
+            g = build_derivation_graph(d, kb)
+            for strategy in ("cr-only", "full"):
+                t = reduce_graph(g, strategy)
+                if t is None:
+                    continue
+                t.replay()
+                checked = ReductionTrace(t.initial, t.steps)
+                assert [h.arcs for h in checked.graphs] == [h.arcs for h in t.graphs]
+                traces += 1
+    assert traces == 3746  # of 3,646 derivations, both strategies
 
 
 def test_full_reduction_deeper_than_the_recursion_limit():
@@ -493,7 +479,7 @@ def _checks_match_the_oracles(g, traces, final, kb) -> Counter:
     verdicts: Counter = Counter()
     for t in traces:
         for p in range(len(t.graphs)):
-            prefix = ReductionTrace(t.initial, t.steps[:p], t.graphs[:p + 1])
+            prefix = ReductionTrace._of(t.steps[:p], t.graphs[:p + 1])
             assert check_prefix_invariants(prefix) == check_prefix_invariants_oracle(prefix)
     for h in [g] + [h for t in traces for h in t.graphs[1:]]:
         assert [h.parents(n) for n in h.nodes] == \
