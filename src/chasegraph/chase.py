@@ -16,10 +16,13 @@ saturation used for (sound, bounded) entailment checking.
 Enumeration is semi-naive along the depth-first search: a node inherits its
 parent's triggers, which stay valid as instances only grow, and adds those
 matches that read an atom of its step's delta, found by a search seeded with
-that atom.  Each trigger is checked against the instance and its template
-built once, when the search finds it, so applying an entry only fills the
-template (DECISIONS.md section 8).  Merging by canonical key keeps the
-order of a full recompute.
+that atom; each rule body is indexed by shape once per enumeration, so a
+delta atom meets only the body atoms of its predicate and arity.  Each
+trigger is checked against the instance and its template built once, when
+the search finds it, so applying an entry only fills the template
+(DECISIONS.md section 8).  Merging by canonical key keeps the order of a
+full recompute.  A derivation that opens a frame carries its final
+instance: its parent's plus its step's atoms.
 """
 
 from __future__ import annotations
@@ -123,6 +126,8 @@ class Derivation:
                 raise ValueError(f"step {i}: trigger does not map the body into I{i-1}")
             if ext.restrict(r.body_vars) != hom:
                 raise ValueError(f"step {i}: extension disagrees with trigger on body vars")
+            if not ext.mapping.keys() >= r.existentials:
+                raise ValueError(f"step {i}: extension does not map every existential variable")
             fresh = [ext[z] for z in r.sorted_existentials]
             if len(set(fresh)) != len(fresh) or not all(isinstance(n, Null) for n in fresh):
                 raise ValueError(f"step {i}: existential images are not distinct nulls")
@@ -150,15 +155,18 @@ def apply_rule(instance: Instance, r: Rule, hom: Substitution) -> tuple[Instance
 
 
 def _check(atoms: frozenset[Atom], r: Rule, hom: Substitution) -> None:
-    """Raise unless body match ``hom`` maps the body of r into ``atoms``."""
-    if not hom.apply(r.body) <= atoms:
+    """Raise unless body match ``hom`` maps the body of r into ``atoms``.  Only
+    a failed fill is redone with ``hom.apply``, which raises
+    UnboundVariableError on an unmapped body variable (DECISIONS.md section 8)."""
+    if not _image(r.body, hom.mapping) <= atoms and not hom.apply(r.body) <= atoms:
         raise NotTriggeredError(f"{r.rid}: homomorphism {hom} is not a trigger")
 
 
 def _image(atoms: Iterable[Atom], mapping: dict) -> frozenset[Atom]:
-    """``atoms`` with each term that ``mapping`` binds replaced by its image."""
-    image = mapping.get
-    return frozenset(Atom(a.pred, tuple(map(image, a.args, a.args))) for a in atoms)
+    """``atoms`` with each term that ``mapping`` binds replaced by its image;
+    built with ``tuple.__new__``, so no Python frame runs per atom."""
+    image, new = mapping.get, tuple.__new__
+    return frozenset([new(Atom, (p, tuple(map(image, args, args)))) for p, args in atoms])
 
 
 def _template(r: Rule, hom: Substitution) -> frozenset[Atom]:
@@ -174,12 +182,13 @@ def _nulls_after(instance: Instance) -> Iterator[int]:
 def _apply(atoms: frozenset[Atom], r: Rule, hom: Substitution,
            template: frozenset[Atom], nulls: Iterator[int]) -> DerivationStep:
     """The step applying a checked match to the instance ``atoms``: the next
-    ordinals of ``nulls``, one per existential in sorted order, fill the template."""
-    ext, head = hom, template
+    ordinals of ``nulls``, one per existential in sorted order, fill the
+    template.  Nulls, trigger and step are built with ``tuple.__new__``."""
+    ext, head, new = hom, template, tuple.__new__
     if r.sorted_existentials:
-        fresh = {z: Null(next(nulls)) for z in r.sorted_existentials}
+        fresh = {z: new(Null, (2, next(nulls))) for z in r.sorted_existentials}
         ext, head = Substitution._of(hom.mapping | fresh), _image(template, fresh)
-    return DerivationStep(r, Trigger(r.rid, hom, ext), head - atoms)
+    return new(DerivationStep, (r, new(Trigger, (r.rid, hom, ext)), head - atoms))
 
 
 def one_step(instance: Instance, rules: Sequence[Rule]) -> Instance:
@@ -249,19 +258,27 @@ def derivation_key(d: Derivation) -> tuple:
     return tuple(key)
 
 
-def _merge_triggers(old: list[tuple], r: Rule, body: list[Atom], delta: frozenset[Atom],
+def _by_shape(r: Rule) -> dict[tuple, list[tuple]]:
+    """(predicate, arity) -> (body atom, the rest of the body) pairs, over the
+    body of r in atom_key order."""
+    body, shapes = sorted(r.body, key=atom_key), {}
+    for i, b in enumerate(body):
+        shapes.setdefault((b.pred, len(b.args)), []).append((b, body[:i] + body[i + 1:]))
+    return shapes
+
+
+def _merge_triggers(old: list[tuple], r: Rule, shapes: dict, delta: frozenset[Atom],
                     index: dict, atoms: frozenset[Atom]) -> list[tuple]:
     """``old`` (key, hom, template) entries plus one per body match in the
     indexed instance ``atoms`` that maps some body atom onto a delta atom,
-    sorted by key.  Each new match is checked against ``atoms`` and its
-    template built here, once (DECISIONS.md section 8).  With no new match
-    ``old`` itself comes back: no list is ever mutated."""
+    sorted by key.  Each delta atom is matched only against the body atoms
+    of its shape (``_by_shape``).  Each new match is checked against
+    ``atoms`` and its template built here, once (DECISIONS.md section 8).
+    With no new match ``old`` itself comes back: no list is ever mutated."""
     found: dict[tuple, Substitution] = {}
-    for i, b in enumerate(body):
-        rest = body[:i] + body[i + 1:]
-        shape = (b.pred, len(b.args))
-        for t in delta:
-            if (t.pred, len(t.args)) == shape and (m := _match_atom(b, t, {})) is not None:
+    for t in delta:
+        for b, rest in shapes.get((t.pred, len(t.args)), ()):
+            if (m := _match_atom(b, t, {})) is not None:
                 found.update((h.key(), h) for h in _search(rest, index, m, None))
     if not found:
         return old
@@ -289,7 +306,9 @@ def enumerate_derivations(
     dict maps each sleeping or explored trigger, as (rule index, match key),
     to the atoms it added; a child keeps the entries disjoint from its step's.
     Each trigger is checked once, when it is found; a bad match raises
-    NotTriggeredError before any derivation applying it is yielded.
+    NotTriggeredError before any derivation applying it is yielded.  A
+    derivation shorter than ``max_len`` is yielded with ``final`` set to its
+    parent's atoms plus its step's, as ``instance_at(len(d))`` would build it.
     Redundant steps (head image already present) are legal derivation steps
     and are enumerated.  ``max_derivations`` bounds the derivations yielded.
     """
@@ -297,15 +316,15 @@ def enumerate_derivations(
         raise ValueError("max_len must be >= 0")
     if dedup not in ("none", "mod-nulls", "traces"):
         raise ValueError(f"unknown dedup mode {dedup!r}")
-    bodies = [sorted(r.body, key=atom_key) for r in rules]
+    shapes = [_by_shape(r) for r in rules]
     nulls = _nulls_after(db)
 
     def frame(d: Derivation, delta: frozenset[Atom], index: dict, lists: list,
               sleep: dict | None) -> tuple:
         index = _index_by_pred(delta, index)
         atoms = d.final.atoms
-        lists = [_merge_triggers(old, r, body, delta, index, atoms)
-                 for r, body, old in zip(rules, bodies, lists)]
+        lists = [_merge_triggers(old, r, by_shape, delta, index, atoms)
+                 for r, by_shape, old in zip(rules, shapes, lists)]
         if sleep is None:
             moves = ((None, r, h, t) for r, ts in zip(rules, lists) for _, h, t in ts)
         else:
@@ -330,9 +349,12 @@ def enumerate_derivations(
         else:
             d, index, lists, _, sleep = stack[-1]
             ident, r, h, t = nxt
-            step = _apply(d.final.atoms, r, h, t, nulls)
-            asleep = None
-            if sleep is not None and len(d) + 1 < max_len:  # a leaf child opens no frame
-                asleep = {s: n for s, n in sleep.items() if n.isdisjoint(step.new_atoms)}
-                sleep[ident] = step.new_atoms
-            node = (Derivation(d.initial, d.steps + (step,)), step.new_atoms, index, lists, asleep)
+            atoms = d.final.atoms
+            step = _apply(atoms, r, h, t, nulls)
+            child, asleep = Derivation(d.initial, d.steps + (step,)), None
+            if len(child) < max_len:  # a leaf child opens no frame
+                object.__setattr__(child, "final", Instance._of(atoms | step.new_atoms))
+                if sleep is not None:
+                    asleep = {s: n for s, n in sleep.items() if n.isdisjoint(step.new_atoms)}
+                    sleep[ident] = step.new_atoms
+            node = (child, step.new_atoms, index, lists, asleep)

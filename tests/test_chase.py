@@ -19,7 +19,7 @@ from chasegraph.chase import (
     triggers,
 )
 from chasegraph.docparse import parse_document
-from chasegraph.errors import NotTriggeredError, ResourceLimitError
+from chasegraph.errors import NotTriggeredError, ResourceLimitError, UnboundVariableError
 from chasegraph.homs import hom_exists, isomorphic_mod_nulls
 from chasegraph.model import Atom, Constant, Instance, Null, Rule, Substitution, Variable, nulls_of
 from chasegraph.randkb import random_kb
@@ -107,6 +107,18 @@ def test_indices_outside_the_derivation_are_rejected(nongreedy_join_derivation):
             d.instance_at(i)
 
 
+def test_an_unbound_body_variable_raises_from_the_check(join_kb):
+    # r3 reads p(X), r(Y); a match without Y fails the fill, and the fallback
+    # names the variable whether or not the bound part lies in the instance
+    r3 = join_kb.rule_by_id("r3")
+    for image in (A, B):
+        hom = Substitution({X: image})
+        with pytest.raises(UnboundVariableError, match="variable Y has no image"):
+            Derivation(join_kb.database).extend(r3, hom)
+        with pytest.raises(UnboundVariableError, match="variable Y has no image"):
+            apply_rule(join_kb.database, r3, hom)
+
+
 def test_apply_rule_not_triggered(join_kb):
     r1 = join_kb.rule_by_id("r1")
     for image in (B, Variable("V")):
@@ -137,20 +149,30 @@ def test_a_found_match_outside_the_instance_is_rejected(join_kb, dedup, monkeypa
             pass
 
 
-@pytest.mark.parametrize("name,depth,checks,applications", [
-    ("join", 6, 3239, 24976), ("chain", 7, 1449, 8736),
-])
-def test_each_found_trigger_is_checked_once(name, depth, checks, applications, monkeypatch):
-    # one check per trigger the enumeration finds, however often it is applied
+# (sample, depth, dedup, checks, applications, seed matches); the ids of the
+# "none" cases predate the dedup and seed-match columns
+_WORK_COUNTS = [
+    ("join", 6, "none", 3239, 24976, 1348), ("chain", 7, "none", 1449, 8736, 1570),
+    ("join", 6, "traces", 198, 1462, 94), ("chain", 7, "traces", 266, 867, 246),
+]
+
+
+@pytest.mark.parametrize("name,depth,dedup,checks,applications,seeds", _WORK_COUNTS,
+                         ids=[f"{n}-{d}-{c}-{a}" + ("" if m == "none" else f"-{m}")
+                              for n, d, m, c, a, _ in _WORK_COUNTS])
+def test_each_found_trigger_is_checked_once(name, depth, dedup, checks, applications, seeds,
+                                            monkeypatch):
+    # one check per trigger the enumeration finds, however often it is applied,
+    # and one seed match per (body atom, delta atom) pair of one shape
     kb = _sample_kb(name)
-    calls = {"_check": 0, "_apply": 0}
+    calls = {"_check": 0, "_apply": 0, "_match_atom": 0}
     for fn in calls:
         def counted(*args, fn=fn, real=getattr(chase, fn)):
             calls[fn] += 1
             return real(*args)
         monkeypatch.setattr(chase, fn, counted)
-    count = sum(1 for _ in enumerate_derivations(kb.database, kb.rules, depth))
-    assert calls == {"_check": checks, "_apply": applications}
+    count = sum(1 for _ in enumerate_derivations(kb.database, kb.rules, depth, dedup=dedup))
+    assert calls == {"_check": checks, "_apply": applications, "_match_atom": seeds}
     assert count == applications + 1
 
 
@@ -363,6 +385,20 @@ def test_redundant_steps_match_oracle():
     _assert_one_per_trace(db, rules, 4)
 
 
+def test_shapes_are_keyed_by_arity_and_a_body_may_repeat_one():
+    # e occurs at arities 1 and 2, and join's body reads two e/2 atoms
+    e1, e2 = (lambda x: Atom("e", (x,))), (lambda x, y: Atom("e", (x, y)))
+    grow = Rule("grow", frozenset({e2(X, Y)}), frozenset({e2(Y, Z)}))
+    mark = Rule("mark", frozenset({e2(X, Y)}), frozenset({e1(Y)}))
+    join = Rule("join", frozenset({e1(X), e2(X, Y), e2(Y, Z)}), frozenset({e2(X, Z)}))
+    db = Instance({e2(A, B), e1(A)})
+    rules = (grow, mark, join)
+    keys, tripped = _stream(enumerate_derivations, db, rules, 4)
+    assert (keys, tripped) == _stream(enumerate_oracle, db, rules, 4)
+    assert any(k[-1][0] == "join" for k in keys if k)
+    _assert_one_per_trace(db, rules, 4)
+
+
 def test_enumerated_chain_derivations_validate_to_depth_5():
     kb = _sample_kb("chain")
     count = 0
@@ -372,10 +408,13 @@ def test_enumerated_chain_derivations_validate_to_depth_5():
     assert count == 170
 
 
-@pytest.mark.parametrize("name,depth", [("join", 4), ("chain", 5)])
-def test_steps_store_only_the_atoms_they_add(name, depth):
+@pytest.mark.parametrize("name,depth,dedup", [
+    ("join", 4, "none"), ("chain", 5, "none"), ("join", 4, "traces"), ("chain", 5, "traces"),
+], ids=["join-4", "chain-5", "join-4-traces", "chain-5-traces"])
+def test_steps_store_only_the_atoms_they_add(name, depth, dedup):
+    # the final a frame carries is the instance its steps build
     kb = _sample_kb(name)
-    for d in enumerate_derivations(kb.database, kb.rules, depth):
+    for d in enumerate_derivations(kb.database, kb.rules, depth, dedup=dedup):
         assert len(d.initial) + sum(len(s.new_atoms) for s in d.steps) == len(d.final)
         assert d.final == d.instance_at(len(d)) and d.final is d.final
         d.validate()
@@ -406,6 +445,15 @@ def test_validate_rejects_a_new_null_that_occurs_earlier():
                          ext.apply(step.rule.head) - d.instance_at(1).atoms)
     with pytest.raises(ValueError, match="step 2: fresh null already occurs earlier"):
         Derivation(d.initial, (d.steps[0], bad)).validate()
+
+
+def test_validate_rejects_an_extension_missing_an_existential(chain_kb):
+    r1 = chain_kb.rule_by_id("r1")  # p(X,Y) -> q(Y,Z)
+    step = Derivation(chain_kb.database).extend(r1, Substitution({X: A, Y: B})).steps[0]
+    ext = step.trigger.extension.restrict(r1.body_vars)
+    bad = DerivationStep(r1, Trigger("r1", step.trigger.hom, ext), step.new_atoms)
+    with pytest.raises(ValueError, match="step 1: extension does not map every existential"):
+        Derivation(chain_kb.database, (bad,)).validate()
 
 
 def test_validate_rejects_a_trigger_outside_the_instance(join_kb):
