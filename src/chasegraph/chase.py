@@ -16,13 +16,10 @@ saturation used for (sound, bounded) entailment checking.
 Enumeration is semi-naive along the depth-first search: a node inherits its
 parent's triggers, which stay valid as instances only grow, and adds those
 matches that read an atom of its step's delta, found by a search seeded with
-that atom; each rule body is indexed by shape once per enumeration, so a
-delta atom meets only the body atoms of its predicate and arity.  Each
-trigger is checked against the instance and its template built once, when
-the search finds it, so applying an entry only fills the template
-(DECISIONS.md section 8).  Merging by canonical key keeps the order of a
-full recompute.  A derivation that opens a frame carries its final
-instance: its parent's plus its step's atoms.
+that atom and tried only against the body atoms of its shape.  Each trigger
+is checked against the instance and its template built once, when the
+search finds it, so applying an entry only fills the template (DECISIONS.md
+section 8).  Merging by canonical key keeps the order of a full recompute.
 """
 
 from __future__ import annotations
@@ -155,16 +152,15 @@ def apply_rule(instance: Instance, r: Rule, hom: Substitution) -> tuple[Instance
 
 
 def _check(atoms: frozenset[Atom], r: Rule, hom: Substitution) -> None:
-    """Raise unless body match ``hom`` maps the body of r into ``atoms``.  Only
-    a failed fill is redone with ``hom.apply``, which raises
-    UnboundVariableError on an unmapped body variable (DECISIONS.md section 8)."""
+    """Raise unless body match ``hom`` maps the body of r into ``atoms``; only a
+    failed fill is redone by ``hom.apply``, to raise its UnboundVariableError."""
     if not _image(r.body, hom.mapping) <= atoms and not hom.apply(r.body) <= atoms:
         raise NotTriggeredError(f"{r.rid}: homomorphism {hom} is not a trigger")
 
 
 def _image(atoms: Iterable[Atom], mapping: dict) -> frozenset[Atom]:
     """``atoms`` with each term that ``mapping`` binds replaced by its image;
-    built with ``tuple.__new__``, so no Python frame runs per atom."""
+    ``tuple.__new__`` builds them without ``Atom.__new__``'s Python frame."""
     image, new = mapping.get, tuple.__new__
     return frozenset([new(Atom, (p, tuple(map(image, args, args)))) for p, args in atoms])
 
@@ -183,7 +179,7 @@ def _apply(atoms: frozenset[Atom], r: Rule, hom: Substitution,
            template: frozenset[Atom], nulls: Iterator[int]) -> DerivationStep:
     """The step applying a checked match to the instance ``atoms``: the next
     ordinals of ``nulls``, one per existential in sorted order, fill the
-    template.  Nulls, trigger and step are built with ``tuple.__new__``."""
+    template.  Nulls, trigger and step are built by ``tuple.__new__``, as in ``_image``."""
     ext, head, new = hom, template, tuple.__new__
     if r.sorted_existentials:
         fresh = {z: new(Null, (2, next(nulls))) for z in r.sorted_existentials}
@@ -259,8 +255,7 @@ def derivation_key(d: Derivation) -> tuple:
 
 
 def _by_shape(r: Rule) -> dict[tuple, list[tuple]]:
-    """(predicate, arity) -> (body atom, the rest of the body) pairs, over the
-    body of r in atom_key order."""
+    """(pred, arity) -> [(body atom, the rest of the body)], over r's body in atom_key order."""
     body, shapes = sorted(r.body, key=atom_key), {}
     for i, b in enumerate(body):
         shapes.setdefault((b.pred, len(b.args)), []).append((b, body[:i] + body[i + 1:]))
